@@ -4,8 +4,8 @@ import java.io.{File, PrintWriter}
 import repro.SparkSpec
 
 /** Base for benchmark suites: each bench prints its table to stdout and
-  * appends it to bench_results/<name>.txt so EXPERIMENTS.md numbers can be
-  * regenerated and diffed against the paper's.
+  * writes it to bench_results/<name>.txt, where runs can be diffed against
+  * each other and against the paper's numbers.
   *
   * BENCH_SF scales all benchmark datasets (default 1.0 = the lite scale
   * defined in [[repro.graphgen.Datasets]]).

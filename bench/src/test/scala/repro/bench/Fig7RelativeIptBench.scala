@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.engine.ExperimentRunner
+import repro.engine.{ExperimentRunner, IptEvaluator}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
@@ -26,9 +26,9 @@ class Fig7RelativeIptBench extends BenchBase {
     for (d <- Datasets.queryable) {
       val edges = d.generate(spark, benchSf).cache()
       try {
+        val counts = IptEvaluator.counts(edges, Workloads.forDataset(d.name))
         for (ord <- StreamOrder.all) {
-          val rows = ExperimentRunner.compareSystems(
-            spark, d, edges, ord, Workloads.forDataset(d.name), k, benchWindow)
+          val rows = ExperimentRunner.compareSystems(d, edges, ord, counts, k, benchWindow)
           val rel = ExperimentRunner.relativeToHash(rows)
           rel.foreach { case (r, pct) =>
             lines += f"${r.dataset}%-12s ${r.order}%-7s ${r.system}%-7s " +

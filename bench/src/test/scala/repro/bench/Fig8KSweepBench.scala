@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.engine.ExperimentRunner
+import repro.engine.{ExperimentRunner, IptEvaluator}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
@@ -21,9 +21,9 @@ class Fig8KSweepBench extends BenchBase {
     for (d <- Vector(Datasets.dblp, Datasets.lubm100)) {
       val edges = d.generate(spark, benchSf).cache()
       try {
+        val counts = IptEvaluator.counts(edges, Workloads.forDataset(d.name))
         for (k <- Vector(2, 4, 8, 16, 32)) {
-          val rows = ExperimentRunner.compareSystems(
-            spark, d, edges, StreamOrder.Bfs, Workloads.forDataset(d.name), k, benchWindow)
+          val rows = ExperimentRunner.compareSystems(d, edges, StreamOrder.Bfs, counts, k, benchWindow)
           val rel = ExperimentRunner.relativeToHash(rows)
           rel.foreach { case (r, pct) =>
             lines += f"${r.dataset}%-12s $k%3d ${r.system}%-7s $pct%10.1f ${r.weightedIpt}%12.0f"

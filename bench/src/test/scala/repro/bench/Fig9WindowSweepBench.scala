@@ -18,12 +18,13 @@ class Fig9WindowSweepBench extends BenchBase {
     val lines  = Vector.newBuilder[String]
     val results = scala.collection.mutable.Map.empty[(String, Int), Double]
     try {
+      val counts = IptEvaluator.counts(edges, w)
       for (ord <- Vector(StreamOrder.Bfs, StreamOrder.Random);
            t   <- Vector(100, 1000, 10000)) {
         val stream = StreamOrder.stream(edges, ord)
         val (n, m) = ExperimentRunner.graphStats(stream)
         val run    = ExperimentRunner.partition("Loom", stream, 8, n, m, w, windowSize = t)
-        val res    = IptEvaluator.evaluate(spark, edges, run.pmap, w)
+        val res    = counts.score(run.pmap)
         results((ord.name, t)) = res.totalWeightedIpt
         lines += f"${d.name}%-12s ${ord.name}%-7s $t%7d ${res.totalWeightedIpt}%12.0f"
       }

@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.engine.ExperimentRunner
+import repro.engine.{ExperimentRunner, IptEvaluator}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
@@ -62,12 +62,14 @@ object Fig7Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("loom-fig7")
     println(f"${"Dataset"}%-12s ${"Order"}%-7s ${"System"}%-7s ${"ipt%%vsHash"}%10s ${"imbalance"}%10s")
-    for (d <- Datasets.queryable; ord <- StreamOrder.all) {
-      val edges = d.generate(spark, JobUtil.sf(args)).cache()
-      val rows  = ExperimentRunner.compareSystems(
-        spark, d, edges, ord, Workloads.forDataset(d.name), k = 8, windowSize = 1000)
-      ExperimentRunner.relativeToHash(rows).foreach { case (r, rel) =>
-        println(f"${r.dataset}%-12s ${r.order}%-7s ${r.system}%-7s $rel%10.1f ${r.imbalance}%10.3f")
+    for (d <- Datasets.queryable) {
+      val edges  = d.generate(spark, JobUtil.sf(args)).cache()
+      val counts = IptEvaluator.counts(edges, Workloads.forDataset(d.name))
+      for (ord <- StreamOrder.all) {
+        val rows = ExperimentRunner.compareSystems(d, edges, ord, counts, k = 8, windowSize = 1000)
+        ExperimentRunner.relativeToHash(rows).foreach { case (r, rel) =>
+          println(f"${r.dataset}%-12s ${r.order}%-7s ${r.system}%-7s $rel%10.1f ${r.imbalance}%10.3f")
+        }
       }
       edges.unpersist()
     }
@@ -80,12 +82,14 @@ object Fig8Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("loom-fig8")
     println(f"${"Dataset"}%-12s ${"k"}%3s ${"System"}%-7s ${"ipt%%vsHash"}%10s")
-    for (d <- Vector(Datasets.dblp, Datasets.lubm100); k <- Vector(2, 4, 8, 16, 32)) {
-      val edges = d.generate(spark, JobUtil.sf(args)).cache()
-      val rows  = ExperimentRunner.compareSystems(
-        spark, d, edges, StreamOrder.Bfs, Workloads.forDataset(d.name), k, windowSize = 1000)
-      ExperimentRunner.relativeToHash(rows).foreach { case (r, rel) =>
-        println(f"${r.dataset}%-12s $k%3d ${r.system}%-7s $rel%10.1f")
+    for (d <- Vector(Datasets.dblp, Datasets.lubm100)) {
+      val edges  = d.generate(spark, JobUtil.sf(args)).cache()
+      val counts = IptEvaluator.counts(edges, Workloads.forDataset(d.name))
+      for (k <- Vector(2, 4, 8, 16, 32)) {
+        val rows = ExperimentRunner.compareSystems(d, edges, StreamOrder.Bfs, counts, k, windowSize = 1000)
+        ExperimentRunner.relativeToHash(rows).foreach { case (r, rel) =>
+          println(f"${r.dataset}%-12s $k%3d ${r.system}%-7s $rel%10.1f")
+        }
       }
       edges.unpersist()
     }
@@ -101,11 +105,12 @@ object Fig9Job {
     val d     = Datasets.dblp
     val edges = d.generate(spark, JobUtil.sf(args)).cache()
     val w     = Workloads.forDataset(d.name)
+    val counts = IptEvaluator.counts(edges, w)
     for (ord <- Vector(StreamOrder.Bfs, StreamOrder.Random); t <- Vector(100, 1000, 10000)) {
       val stream = StreamOrder.stream(edges, ord)
       val (n, m) = ExperimentRunner.graphStats(stream)
       val run    = ExperimentRunner.partition("Loom", stream, k = 8, n, m, w, windowSize = t)
-      val res    = repro.engine.IptEvaluator.evaluate(spark, edges, run.pmap, w)
+      val res    = counts.score(run.pmap)
       println(f"${d.name}%-12s ${ord.name}%-7s $t%7d ${res.totalWeightedIpt}%12.0f")
     }
     edges.unpersist()

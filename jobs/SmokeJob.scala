@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.engine.ExperimentRunner
+import repro.engine.{ExperimentRunner, IptEvaluator}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
@@ -17,16 +17,16 @@ object SmokeJob {
     val k      = args.lift(3).map(_.toInt).getOrElse(8)
     val window = args.lift(4).map(_.toInt).getOrElse(1000)
     val edges  = d.generate(spark, sf).cache()
+    val w      = Workloads.forDataset(d.name)
     val t0     = System.nanoTime()
-    val rows   = ExperimentRunner.compareSystems(
-      spark, d, edges, ord, Workloads.forDataset(d.name), k, window)
+    val counts = IptEvaluator.counts(edges, w)
+    val rows   = ExperimentRunner.compareSystems(d, edges, ord, counts, k, window)
     ExperimentRunner.relativeToHash(rows).foreach { case (r, rel) =>
       println(f"${r.dataset}%-12s ${r.order}%-7s ${r.system}%-7s rel=$rel%7.1f%% " +
               f"abs=${r.weightedIpt}%12.0f imb=${r.imbalance}%6.3f ms/10k=${r.msPer10k}%8.1f")
     }
     println(f"total ${(System.nanoTime() - t0) / 1e9}%.1f s")
     // Per-query breakdown + Loom internals across window sizes.
-    val w      = Workloads.forDataset(d.name)
     val stream = StreamOrder.stream(edges, ord)
     val (n, m) = ExperimentRunner.graphStats(stream)
     // Ground-truth community partitioning (generator oracle): community -> k.
@@ -38,12 +38,12 @@ object SmokeJob {
       println(f"community check: cross-community edges = $cross of ${stream.size} " +
               f"(${100.0 * cross / stream.size}%.1f%%)")
       val pmap  = verts.map(v => v -> community(v) % k).toMap
-      val res   = repro.engine.IptEvaluator.evaluate(spark, edges, pmap, w)
+      val res   = counts.score(pmap)
       println(f"perQ GroundTruth total ipt=${res.totalWeightedIpt}%12.0f")
     }
     for (sysName <- Vector("LDG", "Fennel")) {
       val run = ExperimentRunner.partition(sysName, stream, k, n, m, w, window)
-      val res = repro.engine.IptEvaluator.evaluate(spark, edges, run.pmap, w)
+      val res = counts.score(run.pmap)
       res.perQuery.foreach { q =>
         println(f"perQ $sysName%-7s q${q.queryIndex} f=${q.frequency}%5.0f " +
                 f"matches=${q.matchCount}%8d ipt=${q.ipt}%8d weighted=${q.weightedIpt}%12.0f")
@@ -56,7 +56,7 @@ object SmokeJob {
       val t1 = System.nanoTime()
       stream.foreach(loom.add); loom.finish()
       val ms = (System.nanoTime() - t1) / 1e6
-      val res = repro.engine.IptEvaluator.evaluate(spark, edges, loom.state.toMap, w)
+      val res = counts.score(loom.state.toMap)
       res.perQuery.foreach { q =>
         println(f"perQ Loom/w$wnd%-6d q${q.queryIndex} f=${q.frequency}%5.0f " +
                 f"matches=${q.matchCount}%8d ipt=${q.ipt}%8d weighted=${q.weightedIpt}%12.0f")
@@ -75,7 +75,7 @@ object SmokeJob {
         val p = new repro.core.LoomPartitioner(k, n, trie.motifIndex(0.4),
                                                window, params, clusterAssign = cluster)
         stream.foreach(p.add); p.finish()
-        val res = repro.engine.IptEvaluator.evaluate(spark, edges, p.state.toMap, w)
+        val res = counts.score(p.state.toMap)
         println(f"variant $tag%-24s ipt=${res.totalWeightedIpt}%12.0f " +
                 s"zeroBid=${p.zeroBidEvictions} ev=${p.evictions}")
       }

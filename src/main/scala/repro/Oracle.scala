@@ -2,6 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{DataType, IntegerType, LongType, StringType}
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
@@ -33,21 +34,31 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
+  /** DuckDB column type of a Spark column, so that comparisons, `least`
+    * and `greatest` order values as Spark does (numbers numerically).
+    */
+  private def duckType(t: DataType): String = t match {
+    case LongType    => "BIGINT"
+    case IntegerType => "INTEGER"
+    case StringType  => "VARCHAR"
+    case other       => throw new IllegalArgumentException(s"oracle tables take no $other columns")
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val fields = df.schema.fields
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE $name (${fields.map(f => s"${f.name} ${duckType(f.dataType)}").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
+          s"INSERT INTO $name VALUES (${fields.map(_ => "?").mkString(",")})"
         )
         df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+          fields.indices.foreach(i => ps.setObject(i + 1, r.get(i)))
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.Model._
-import repro.partition.{AdjacencyTracker, PartitionState, StreamingPartitioner}
+import repro.partition.{AdjacencyTracker, LdgPartitioner, PartitionState, StreamingPartitioner}
 
 /** Loom: the paper's workload-aware streaming partitioner (§1.4, §3, §4).
   *
@@ -150,21 +150,5 @@ final class LoomPartitioner(
   }
 
   /** LDG placement for a single vertex (used for non-motif edges, §4). */
-  private def ldgPlace(v: VId): Unit = if (!state.isAssigned(v)) {
-    val counts = adjacency.neighbourCounts(v, state)
-    var best      = -1
-    var bestScore = Double.NegativeInfinity
-    var i         = 0
-    while (i < state.k) {
-      if (state.size(i) < state.capacity) {
-        val score = counts(i) * (1.0 - state.size(i) / state.capacity)
-        if (score > bestScore ||
-            (score == bestScore && best >= 0 && state.size(i) < state.size(best))) {
-          best = i; bestScore = score
-        }
-      }
-      i += 1
-    }
-    state.assign(v, if (best >= 0) best else state.leastLoaded)
-  }
+  private def ldgPlace(v: VId): Unit = LdgPartitioner.place(state, adjacency, v)
 }

@@ -7,8 +7,9 @@ import repro.core.Model._
   * Used as a verification substrate: it cross-checks the probabilistic
   * signature matching (paper §2.3 claims no false negatives and a small
   * false-positive rate) and provides brute-force pattern-match enumeration
-  * against which the Spark join-based engine is validated. Only ever invoked
-  * on small graphs — patterns are of the order of 10 edges.
+  * against which the SQL engine is validated; the engine also takes each
+  * pattern's automorphisms from here. Only ever invoked on small graphs —
+  * patterns are of the order of 10 edges.
   */
 object NaiveIso {
 
@@ -67,16 +68,24 @@ object NaiveIso {
       .distinct
 
   /** True iff q occurs as a sub-graph of the (small) pattern graph big. */
-  def containedIn(q: QueryGraph, big: QueryGraph): Boolean = {
-    // Treat `big` as a data graph with vertex ids 0..n-1.
-    val g = SubGraph(big.edges.map { case (a, b) =>
-      LEdge(a.toLong, big.labels(a), b.toLong, big.labels(b))
+  def containedIn(q: QueryGraph, big: QueryGraph): Boolean =
+    embeddings(q, asGraph(big)).nonEmpty
+
+  /** The automorphism group Aut(q): every label- and edge-preserving
+    * permutation σ of q's vertices, as the vector (σ(0), …, σ(n-1)). An
+    * embedding of q into itself is injective on n vertices and maps |E|
+    * edges into |E| edges, so it is exactly such a permutation.
+    */
+  def automorphisms(q: QueryGraph): Vector[Vector[Int]] =
+    embeddings(q, asGraph(q)).map(m => Vector.tabulate(q.numVertices)(i => m(i).toInt))
+
+  /** q as a data graph with vertex ids 0..n-1. Isolated pattern vertices
+    * would be lost, but QueryGraph constructors do not produce them.
+    */
+  private def asGraph(q: QueryGraph): SubGraph =
+    SubGraph(q.edges.map { case (a, b) =>
+      LEdge(a.toLong, q.labels(a), b.toLong, q.labels(b))
     }.toSet)
-    // Isolated vertices in `big` can't matter: q has no isolated vertices
-    // (every QueryGraph edge covers its endpoints) unless numVertices exceeds
-    // edge coverage, which our constructors do not produce.
-    embeddings(q, g).nonEmpty
-  }
 
   private def adjacency(q: QueryGraph): Map[Int, Set[Int]] = {
     val m = scala.collection.mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)

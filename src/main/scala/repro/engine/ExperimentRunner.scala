@@ -1,6 +1,6 @@
 package repro.engine
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.core.Model._
 import repro.core.{EqualOpportunism, LoomPartitioner, Signature, TPSTry}
 import repro.graphgen.{Dataset, StreamOrder}
@@ -68,16 +68,18 @@ object ExperimentRunner {
     (vs.size.toLong, stream.size.toLong)
   }
 
-  /** Run all four systems over one (dataset, order, k) and measure ipt. */
-  def compareSystems(spark: SparkSession, dataset: Dataset, edgesDf: DataFrame,
-                     order: StreamOrder.Order, workload: Workload, k: Int,
-                     windowSize: Int, systems: Vector[String] = Systems,
+  /** Run all four systems over one (dataset, order, k) and score each from
+    * the graph's per-edge match counts (see [[IptEvaluator.counts]]).
+    */
+  def compareSystems(dataset: Dataset, edgesDf: DataFrame, order: StreamOrder.Order,
+                     counts: IptEvaluator.WorkloadCounts, k: Int, windowSize: Int,
+                     systems: Vector[String] = Systems,
                      seed: Long = 11L): Vector[IptRow] = {
     val stream = StreamOrder.stream(edgesDf, order, seed)
     val (n, m) = graphStats(stream)
     systems.map { sys =>
-      val run = partition(sys, stream, k, n, m, workload, windowSize)
-      val res = IptEvaluator.evaluate(spark, edgesDf, run.pmap, workload)
+      val run = partition(sys, stream, k, n, m, counts.workload, windowSize)
+      val res = counts.score(run.pmap)
       IptRow(dataset.name, order.name, sys, k, res.totalWeightedIpt,
              res.totalMatches, run.imbalance, run.msPer10k)
     }

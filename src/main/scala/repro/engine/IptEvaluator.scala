@@ -8,10 +8,14 @@ import repro.core.Model._
   * inter-partition traversals (ipt) incurred when executing a pattern-match
   * query workload over a partitioned graph.
   *
-  * For each query q, every distinct match (automorphism-deduplicated
-  * sub-graph) is inspected: each matched data edge whose endpoints live in
-  * different partitions costs one ipt. Per-query totals are weighted by the
-  * query's relative frequency in the workload.
+  * For each query q, every distinct match is inspected: each matched data
+  * edge whose endpoints live in different partitions costs one ipt. Per-query
+  * totals are weighted by the query's relative frequency in the workload.
+  *
+  * Matching runs once per (graph, workload) in Spark and yields per-edge
+  * match counts c_q(e), the number of distinct matches of q that contain e
+  * ([[counts]]). Scoring a partitioning P is then one pass on the driver:
+  * ipt_q(P) = Σ_e c_q(e)·[P(x_e) ≠ P(y_e)] ([[WorkloadCounts.score]]).
   */
 object IptEvaluator {
 
@@ -27,47 +31,58 @@ object IptEvaluator {
     def totalMatches: Long       = perQuery.map(_.matchCount).sum
   }
 
-  /** Build the vertex→partition DataFrame `(vid, pid)` from a driver map. */
-  def partitionDf(spark: SparkSession, pmap: Map[VId, Int]): DataFrame = {
-    import spark.implicits._
-    pmap.toSeq.toDF("vid", "pid")
-  }
-
-  /** ipt of one query over the partitioned graph.
-    *
-    * `matches` rows carry the canonical edge array; exploding it and joining
-    * the partition map on both endpoints yields per-edge crossing flags.
+  /** c_q(e) for one query: data edge (x(j), y(j)) lies in c(j) > 0 distinct
+    * matches of q.
     */
-  def queryIpt(edges: DataFrame, pmapDf: DataFrame, q: QueryGraph): (Long, Long) = {
-    val ms = PatternMatcher.matches(edges, q).cache()
-    try {
-      val cnt = ms.count()
-      if (cnt == 0) (0L, 0L)
-      else {
-        val exploded = ms.select(explode(col("edges")) as "e")
-          .select(col("e.x") as "x", col("e.y") as "y")
-        val pm1 = pmapDf.select(col("vid") as "xv", col("pid") as "xp")
-        val pm2 = pmapDf.select(col("vid") as "yv", col("pid") as "yp")
-        val ipt = exploded
-          .join(pm1, col("x") === col("xv"))
-          .join(pm2, col("y") === col("yv"))
-          .select(sum(when(col("xp") =!= col("yp"), 1L).otherwise(0L)) as "ipt")
-          .collect()(0).getLong(0)
-        (cnt, ipt)
-      }
-    } finally ms.unpersist()
+  final case class EdgeCounts(matchCount: Long, x: Array[VId], y: Array[VId],
+                              c: Array[Long])
+
+  /** Per-edge match counts of every workload query over one graph. */
+  final case class WorkloadCounts(workload: Workload, perQuery: Vector[EdgeCounts]) {
+
+    /** ipt of the workload under `pmap`. An edge with an unassigned
+      * endpoint never crosses.
+      */
+    def score(pmap: collection.Map[VId, Int]): WorkloadIpt =
+      WorkloadIpt(workload.queries.zip(perQuery).zipWithIndex.map {
+        case (((_, f), ec), qi) =>
+          var ipt = 0L
+          var j   = 0
+          while (j < ec.c.length) {
+            val a = pmap.getOrElse(ec.x(j), -1)
+            val b = pmap.getOrElse(ec.y(j), -1)
+            if (a >= 0 && b >= 0 && a != b) ipt += ec.c(j)
+            j += 1
+          }
+          QueryIpt(qi, f, ec.matchCount, ipt)
+      })
   }
 
-  /** ipt of a full workload over a partitioning. */
-  def evaluate(spark: SparkSession, edges: DataFrame, pmap: Map[VId, Int],
-               workload: Workload): WorkloadIpt = {
-    val pmapDf = partitionDf(spark, pmap).cache()
-    try {
-      val per = workload.queries.zipWithIndex.map { case ((q, f), i) =>
-        val (cnt, ipt) = queryIpt(edges, pmapDf, q)
-        QueryIpt(i, f, cnt, ipt)
-      }
-      WorkloadIpt(per)
-    } finally pmapDf.unpersist()
+  /** Per-edge match counts of `workload` over `edges`: the match rows of
+    * every query are exploded into their edges, grouped by (query, edge) and
+    * collected once.
+    */
+  def counts(edges: DataFrame, workload: Workload): WorkloadCounts = {
+    val exploded = workload.queries.zipWithIndex.map { case ((q, _), qi) =>
+      val es = q.edges.indices.map(i => struct(col(s"x$i") as "x", col(s"y$i") as "y"))
+      PatternMatcher.matches(edges, q)
+        .select(lit(qi) as "q", explode(array(es: _*)) as "e")
+        .select(col("q"), col("e.x") as "x", col("e.y") as "y")
+    }.reduce(_ unionAll _)
+    val rows = exploded.groupBy("q", "x", "y").count().collect()
+    WorkloadCounts(workload, workload.queries.zipWithIndex.map { case ((q, _), qi) =>
+      val mine = rows.filter(_.getInt(0) == qi)
+      val c    = mine.map(_.getLong(3))
+      // A match maps q's edges to |E_q| distinct data edges.
+      EdgeCounts(c.sum / q.numEdges, mine.map(_.getLong(1)), mine.map(_.getLong(2)), c)
+    })
   }
+
+  /** ipt of a full workload over a partitioning: [[counts]], then score.
+    * `spark` is not needed (`edges` carries its session); callers that
+    * score several partitionings of one graph should reuse [[counts]].
+    */
+  def evaluate(spark: SparkSession, edges: DataFrame, pmap: Map[VId, Int],
+               workload: Workload): WorkloadIpt =
+    counts(edges, workload).score(pmap)
 }

@@ -1,142 +1,76 @@
 package repro.engine
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import repro.core.Model._
+import repro.core.NaiveIso
 
-/** Sub-graph pattern matching over an edge DataFrame with Catalyst joins.
+/** Sub-graph pattern matching as one plain SQL text per pattern.
   *
-  * The data graph is a DataFrame `(u: long, ul: string, v: long, vl: string)`
-  * of canonicalised undirected edges. Matching builds a symmetric (directed)
-  * view and folds one self-join per pattern edge, with label predicates and
-  * injectivity filters; [[matches]] additionally deduplicates automorphic
-  * embeddings by the canonical sorted array of matched data edges, so each
-  * sub-graph R_i of the paper's definition (§1.3) counts exactly once.
-  *
-  * [[countSql]] emits an equivalent plain-SQL query (runnable by both Spark
-  * and DuckDB over the same input tables) used by the correctness oracle.
+  * The data graph is a table `(u: long, ul: string, v: long, vl: string)`
+  * of canonicalised undirected edges. [[sql]] builds a symmetric (directed)
+  * view of it and joins that view once per pattern edge, with label
+  * predicates and injectivity filters. Each distinct sub-graph R_i of the
+  * paper's definition (§1.3) is found once per automorphism of the pattern;
+  * symmetry breaking (Grochow & Kellis, RECOMB 2007) keeps exactly one of
+  * those embeddings, so the query returns one row per match with no
+  * deduplication. The text is valid Spark SQL and DuckDB SQL, which lets the
+  * DuckDB oracle check the very query whose Spark result is scored.
   */
 object PatternMatcher {
 
-  /** Symmetric directed view of an undirected edge DataFrame. */
-  def directedView(edges: DataFrame): DataFrame = {
-    val fwd = edges.select(col("u") as "a", col("ul") as "al",
-                           col("v") as "b", col("vl") as "bl")
-    val bwd = edges.select(col("v") as "a", col("vl") as "al",
-                           col("u") as "b", col("ul") as "bl")
-    fwd.unionAll(bwd)
-  }
+  /** The edge table that [[sql]] reads and [[matches]] registers. */
+  val EdgesView = "pattern_edges"
 
-  /** All injective embeddings of pattern q: one row per embedding, columns
-    * `p0..p{n-1}` holding the data-vertex id bound to each pattern vertex.
+  /** Plain SQL listing the distinct matches of q over [[EdgesView]]: one row
+    * per match, with `x{i}`, `y{i}` (smaller id first) holding the data
+    * edge that pattern edge i maps to.
+    *
+    * Symmetry breaking: an embedding p (pattern vertex -> data vertex) is
+    * kept only if p <= p∘σ lexicographically for every non-identity
+    * automorphism σ of q, which singles out the least embedding of each
+    * match. As p is injective, the tuples p and p∘σ first differ at the
+    * first vertex i that σ moves, so the condition is `p(i) < p(σ(i))`.
     */
-  def embeddings(edges: DataFrame, q: QueryGraph): DataFrame = {
-    val d = directedView(edges)
-
-    // Fold a join per pattern edge, tracking which pattern vertex is bound
-    // to which output column.
-    var bound = Map.empty[Int, String] // pattern vertex -> column name
-    var acc: DataFrame = null
-
+  def sql(q: QueryGraph): String = {
+    var bound = Map.empty[Int, String] // pattern vertex -> column
+    val joins = Vector.newBuilder[String]
+    val where = Vector.newBuilder[String]
     q.edges.zipWithIndex.foreach { case ((pa, pb), i) =>
-      val e = d.select(col("a") as s"a$i", col("al") as s"al$i",
-                       col("b") as s"b$i", col("bl") as s"bl$i")
-      if (acc == null) {
-        acc = e.where(col(s"al$i") === q.labels(pa) && col(s"bl$i") === q.labels(pb))
-        bound += pa -> s"a$i"; bound += pb -> s"b$i"
-      } else {
-        var cond: Column = lit(true)
-        (bound.get(pa), bound.get(pb)) match {
-          case (Some(ca), Some(cb)) =>
-            cond = col(s"a$i") === col(ca) && col(s"b$i") === col(cb)
-          case (Some(ca), None) =>
-            cond = col(s"a$i") === col(ca) && col(s"bl$i") === q.labels(pb)
-            bound += pb -> s"b$i"
-          case (None, Some(cb)) =>
-            cond = col(s"b$i") === col(cb) && col(s"al$i") === q.labels(pa)
-            bound += pa -> s"a$i"
-          case (None, None) =>
-            // Disconnected pattern edge (not produced by our constructors,
-            // but handled for completeness): cross join with label filters.
-            cond = col(s"al$i") === q.labels(pa) && col(s"bl$i") === q.labels(pb)
-            bound += pa -> s"a$i"; bound += pb -> s"b$i"
+      val on = Seq(pa -> "a", pb -> "b").map { case (pv, end) =>
+        bound.get(pv) match {
+          case Some(c) => s"e$i.$end = $c"
+          case None =>
+            bound += pv -> s"e$i.$end"
+            s"e$i.${end}l = '${q.labels(pv)}'"
         }
-        acc = acc.join(e, cond)
       }
+      if (i == 0) { joins += "d e0"; where ++= on }
+      else joins += s"JOIN d e$i ON ${on.mkString(" AND ")}"
     }
-
-    // Injectivity: distinct pattern vertices map to distinct data vertices.
-    val verts = (0 until q.numVertices).toVector
-    for (x <- verts; y <- verts if x < y)
-      acc = acc.where(col(bound(x)) =!= col(bound(y)))
-
-    acc.select(verts.map(i => col(bound(i)) as s"p$i"): _*)
+    val n = q.numVertices
+    for (x <- 0 until n; y <- x + 1 until n) where += s"${bound(x)} <> ${bound(y)}"
+    NaiveIso.automorphisms(q)
+      .flatMap(sigma => (0 until n).find(i => sigma(i) != i).map(i => (i, sigma(i))))
+      .distinct
+      .foreach { case (i, j) => where += s"${bound(i)} < ${bound(j)}" }
+    val cols = q.edges.zipWithIndex.map { case ((pa, pb), i) =>
+      s"least(${bound(pa)}, ${bound(pb)}) AS x$i, greatest(${bound(pa)}, ${bound(pb)}) AS y$i"
+    }
+    s"""WITH d AS (
+       |  SELECT u AS a, ul AS al, v AS b, vl AS bl FROM $EdgesView
+       |  UNION ALL
+       |  SELECT v AS a, vl AS al, u AS b, ul AS bl FROM $EdgesView
+       |)
+       |SELECT ${cols.mkString(",\n       ")}
+       |FROM ${joins.result().mkString("\n  ")}
+       |WHERE ${where.result().mkString("\n  AND ")}""".stripMargin
   }
 
-  /** Distinct matches of q: one row per matched sub-graph, with the column
-    * `edges: array<struct<x,y>>` holding the canonical sorted edge list.
+  /** Distinct matches of q: [[sql]] run by Spark over `edges`, registered
+    * as [[EdgesView]]. The row count is the number of matches.
     */
   def matches(edges: DataFrame, q: QueryGraph): DataFrame = {
-    val emb = embeddings(edges, q)
-    val edgeStructs = q.edges.map { case (a, b) =>
-      struct(least(col(s"p$a"), col(s"p$b")) as "x",
-             greatest(col(s"p$a"), col(s"p$b")) as "y")
-    }
-    emb.select(array_sort(array(edgeStructs: _*)) as "edges").distinct()
-  }
-
-  /** Number of distinct matches of q in the graph. */
-  def matchCount(edges: DataFrame, q: QueryGraph): Long = matches(edges, q).count()
-
-  /** Plain SQL computing `(embeddings, ipt)` for pattern q over tables
-    * `edges(u,ul,v,vl)` and `pmap(vid,pid)` — the embedding count and the
-    * total number of pattern-edge traversals that cross partitions, summed
-    * over all embeddings. Valid Spark SQL *and* DuckDB SQL, so the oracle
-    * can diff the two engines on identical text.
-    */
-  def countSql(q: QueryGraph, edgesTable: String = "edges",
-               pmapTable: String = "pmap"): String = {
-    val n = q.numVertices
-    var bound = Map.empty[Int, String]
-    val joins = new StringBuilder
-    val conds = Vector.newBuilder[String]
-
-    q.edges.zipWithIndex.foreach { case ((pa, pb), i) =>
-      joins.append(if (i == 0) s"d e$i" else s", d e$i")
-      (bound.get(pa), bound.get(pb)) match {
-        case (Some(ca), Some(cb)) =>
-          conds += s"e$i.a = $ca"; conds += s"e$i.b = $cb"
-        case (Some(ca), None) =>
-          conds += s"e$i.a = $ca"; conds += s"e$i.bl = '${q.labels(pb)}'"
-          bound += pb -> s"e$i.b"
-        case (None, Some(cb)) =>
-          conds += s"e$i.b = $cb"; conds += s"e$i.al = '${q.labels(pa)}'"
-          bound += pa -> s"e$i.a"
-        case (None, None) =>
-          conds += s"e$i.al = '${q.labels(pa)}'"; conds += s"e$i.bl = '${q.labels(pb)}'"
-          bound += pa -> s"e$i.a"; bound += pb -> s"e$i.b"
-      }
-    }
-    // Injectivity.
-    for (x <- 0 until n; y <- 0 until n if x < y)
-      conds += s"${bound(x)} <> ${bound(y)}"
-    // One pmap alias per pattern vertex.
-    (0 until n).foreach { i =>
-      joins.append(s", $pmapTable pm$i")
-      conds += s"pm$i.vid = ${bound(i)}"
-    }
-    val crossing = q.edges.map { case (a, b) =>
-      s"CASE WHEN pm$a.pid <> pm$b.pid THEN 1 ELSE 0 END"
-    }.mkString(" + ")
-
-    s"""WITH d AS (
-       |  SELECT u AS a, ul AS al, v AS b, vl AS bl FROM $edgesTable
-       |  UNION ALL
-       |  SELECT v AS a, vl AS al, u AS b, ul AS bl FROM $edgesTable
-       |)
-       |SELECT CAST(count(*) AS BIGINT) AS embeddings,
-       |       CAST(coalesce(sum($crossing), 0) AS BIGINT) AS ipt
-       |FROM $joins
-       |WHERE ${conds.result().mkString("\n  AND ")}""".stripMargin
+    edges.createOrReplaceTempView(EdgesView)
+    edges.sparkSession.sql(sql(q))
   }
 }

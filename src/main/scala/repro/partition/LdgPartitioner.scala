@@ -21,25 +21,33 @@ final class LdgPartitioner(k: Int, nExpected: Long, slack: Double = 1.1)
 
   override def add(e: LEdge): Unit = {
     adjacency.add(e)
-    place(e.u)
-    place(e.v)
+    LdgPartitioner.place(state, adjacency, e.u)
+    LdgPartitioner.place(state, adjacency, e.v)
   }
+}
 
-  private def place(v: VId): Unit = if (!state.isAssigned(v)) {
-    val counts = adjacency.neighbourCounts(v, state)
-    var best      = -1
-    var bestScore = Double.NegativeInfinity
-    var i         = 0
-    while (i < state.k) {
-      if (state.size(i) < state.capacity) {
-        val score = counts(i) * (1.0 - state.size(i) / state.capacity)
-        if (score > bestScore ||
-            (score == bestScore && best >= 0 && state.size(i) < state.size(best))) {
-          best = i; bestScore = score
+object LdgPartitioner {
+
+  /** Place v, if unassigned, on the open partition maximising
+    * `N(S_i, v) · (1 − |V(S_i)|/C)`. Ties go to the less loaded partition;
+    * if every partition is full, v goes to the least-loaded one.
+    */
+  def place(state: PartitionState, adjacency: AdjacencyTracker, v: VId): Unit =
+    if (!state.isAssigned(v)) {
+      val counts = adjacency.neighbourCounts(v, state)
+      var best      = -1
+      var bestScore = Double.NegativeInfinity
+      var i         = 0
+      while (i < state.k) {
+        if (state.size(i) < state.capacity) {
+          val score = counts(i) * (1.0 - state.size(i) / state.capacity)
+          if (score > bestScore ||
+              (score == bestScore && best >= 0 && state.size(i) < state.size(best))) {
+            best = i; bestScore = score
+          }
         }
+        i += 1
       }
-      i += 1
+      state.assign(v, if (best >= 0) best else state.leastLoaded)
     }
-    state.assign(v, if (best >= 0) best else state.leastLoaded)
-  }
 }

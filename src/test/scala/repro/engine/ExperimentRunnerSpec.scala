@@ -15,7 +15,7 @@ class ExperimentRunnerSpec extends SparkSpec {
   private lazy val edges  = d.generate(spark, sf).cache()
   private lazy val w      = Workloads.forDataset(d.name)
   private lazy val rows   = ExperimentRunner.compareSystems(
-    spark, d, edges, StreamOrder.Bfs, w, k = 4, windowSize = 200)
+    d, edges, StreamOrder.Bfs, IptEvaluator.counts(edges, w), k = 4, windowSize = 200)
 
   test("compareSystems produces one row per system") {
     assert(rows.map(_.system) == ExperimentRunner.Systems)
@@ -75,7 +75,7 @@ class ExperimentRunnerSpec extends SparkSpec {
       val e  = ds.generate(spark, 0.005).cache()
       try {
         val rs = ExperimentRunner.compareSystems(
-          spark, ds, e, StreamOrder.Random, Workloads.forDataset(ds.name),
+          ds, e, StreamOrder.Random, IptEvaluator.counts(e, Workloads.forDataset(ds.name)),
           k = 2, windowSize = 50)
         assert(rs.size == 4, s"${ds.name}")
         rs.foreach(r => assert(r.weightedIpt >= 0))

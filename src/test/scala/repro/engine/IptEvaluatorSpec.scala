@@ -31,10 +31,16 @@ class IptEvaluatorSpec extends SparkSpec {
   )
   private val q2 = path("a", "b", "a")
 
+  /** Engine (match count, ipt) of one query under pmap. */
+  private def queryIpt(pmap: Map[VId, Int], q: QueryGraph): (Long, Long) = {
+    val r = IptEvaluator.evaluate(spark, edgesDf(g), pmap, Workload(Vector(q -> 1.0))).perQuery.head
+    (r.matchCount, r.ipt)
+  }
+
   test("paper §1: min edge-cut partitioning suffers ipt on every q2 match") {
     // {A, B} = {1,2,3,4} | {5,6,7,8}: good edge-cut, but splits q2's matches.
     val ab = Map(1L -> 0, 2L -> 0, 3L -> 0, 4L -> 0, 5L -> 1, 6L -> 1, 7L -> 1, 8L -> 1)
-    val (cnt, ipt) = IptEvaluator.queryIpt(edgesDf(g), IptEvaluator.partitionDf(spark, ab), q2)
+    val (cnt, ipt) = queryIpt(ab, q2)
     assert(cnt == 3) // {(1,2),(2,3)}, {(6,2),(2,3)}, {(1,2),(2,6)}
     assert(ipt == bruteIpt(g, ab, q2))
     assert(ipt >= 2, s"the workload-agnostic split must pay ipt, got $ipt")
@@ -42,9 +48,23 @@ class IptEvaluatorSpec extends SparkSpec {
 
   test("paper §1: the workload-aware partitioning A'B' gives 0 ipt for q2") {
     val aPrime = Map(1L -> 0, 2L -> 0, 3L -> 0, 6L -> 0, 4L -> 1, 5L -> 1, 7L -> 1, 8L -> 1)
-    val (cnt, ipt) = IptEvaluator.queryIpt(edgesDf(g), IptEvaluator.partitionDf(spark, aPrime), q2)
+    val (cnt, ipt) = queryIpt(aPrime, q2)
     assert(cnt == 3)
     assert(ipt == 0, "A'={1,2,3,6} keeps every a-b-a match internal")
+  }
+
+  private val assorted =
+    Vector(q2, singleEdge("a", "b"), path("a", "c", "c"), path("c", "c", "c"))
+  private lazy val assortedCounts =
+    IptEvaluator.counts(edgesDf(g), Workload(assorted.map(_ -> 1.0)))
+
+  test("per-edge match counts equal brute force") {
+    assorted.zip(assortedCounts.perQuery).foreach { case (q, ec) =>
+      val ms = NaiveIso.matches(q, SubGraph(g.toSet))
+      val expected = ms.flatten.groupBy(identity).map { case (e, es) => e -> es.size.toLong }
+      assert(ec.matchCount == ms.size, s"pattern $q")
+      assert(ec.x.indices.map(j => (ec.x(j), ec.y(j)) -> ec.c(j)).toMap == expected, s"pattern $q")
+    }
   }
 
   test("ipt equals brute force for assorted partitionings and patterns") {
@@ -52,13 +72,16 @@ class IptEvaluatorSpec extends SparkSpec {
     val verts = g.flatMap(e => Seq(e.u, e.v)).distinct
     (1 to 5).foreach { trial =>
       val pmap = verts.map(v => v -> rnd.nextInt(3)).toMap
-      Vector(q2, singleEdge("a", "b"), path("a", "c", "c"), path("c", "c", "c"))
-        .foreach { q =>
-          val (_, ipt) = IptEvaluator.queryIpt(edgesDf(g),
-            IptEvaluator.partitionDf(spark, pmap), q)
-          assert(ipt == bruteIpt(g, pmap, q), s"trial $trial pattern $q")
-        }
+      assortedCounts.score(pmap).perQuery.zip(assorted).foreach { case (r, q) =>
+        assert(r.ipt == bruteIpt(g, pmap, q), s"trial $trial pattern $q")
+      }
     }
+  }
+
+  test("an edge with an unassigned endpoint never crosses") {
+    val pmap = Map(1L -> 0, 2L -> 1, 3L -> 0)
+    val (_, ipt) = queryIpt(pmap, singleEdge("a", "b"))
+    assert(ipt == 2) // (1,2) and (2,3) cross; (6,2) has 6 unassigned
   }
 
   test("workload evaluation weights per-query ipt by frequency") {

@@ -7,7 +7,7 @@ import repro.core.NaiveIso
 import repro.graphgen.Datasets
 import repro.workloads.Workloads
 
-/** Tests for the DataFrame pattern-match engine, cross-checked against the
+/** Tests for the SQL pattern-match engine, cross-checked against the
   * brute-force matcher and the DuckDB oracle.
   */
 class PatternMatcherSpec extends SparkSpec {
@@ -18,6 +18,22 @@ class PatternMatcherSpec extends SparkSpec {
     es.map(e => (e.u, e.uLabel, e.v, e.vLabel)).toDF("u", "ul", "v", "vl")
   }
 
+  /** Match rows of q as edge sets, keeping duplicates. */
+  private def matchSets(df: DataFrame, q: QueryGraph): Vector[Set[(VId, VId)]] =
+    PatternMatcher.matches(df, q).collect().toVector.map { r =>
+      q.edges.indices.map { i =>
+        (r.getLong(r.fieldIndex(s"x$i")), r.getLong(r.fieldIndex(s"y$i")))
+      }.toSet
+    }
+
+  /** The matches of q over es equal the brute-force matches, one row each. */
+  private def assertBruteForce(es: Seq[LEdge], q: QueryGraph, what: String): Unit = {
+    val got      = matchSets(edgesDf(es), q)
+    val expected = NaiveIso.matches(q, SubGraph(es.toSet))
+    assert(got.size == expected.size, s"$what $q: ${got.size} rows, ${expected.size} matches")
+    assert(got.toSet == expected.toSet, s"$what $q")
+  }
+
   /** The paper's Fig. 1-style example fragment: vertices 1,3,6 labelled a;
     * 2 labelled b; plus a small b-side tail.
     */
@@ -26,21 +42,21 @@ class PatternMatcherSpec extends SparkSpec {
     LEdge(3, "a", 4, "b"), LEdge(4, "b", 5, "a"),
   )
 
-  test("directed view doubles the edge count") {
-    val df = edgesDf(fig1)
-    assert(PatternMatcher.directedView(df).count() == 2L * fig1.size)
+  test("single-edge patterns match both directions of an edge, once") {
+    assert(PatternMatcher.matches(edgesDf(fig1), singleEdge("b", "a")).count() == fig1.size)
+    // Both directions of an a-a edge fit a-a; symmetry breaking keeps one.
+    val aa = Vector(LEdge(1, "a", 2, "a"), LEdge(2, "a", 3, "a"))
+    assertBruteForce(aa, singleEdge("a", "a"), "a-a")
+    assert(PatternMatcher.matches(edgesDf(aa), singleEdge("a", "a")).count() == 2)
   }
 
   test("single-edge pattern: each a-b edge matches once") {
-    val df = edgesDf(fig1)
-    assert(PatternMatcher.matchCount(df, singleEdge("a", "b")) == fig1.size)
+    assertBruteForce(fig1, singleEdge("a", "b"), "fig1")
+    assert(PatternMatcher.matches(edgesDf(fig1), singleEdge("a", "b")).count() == fig1.size)
   }
 
   test("q2-style a-b-a path matches the expected sub-graphs") {
-    val df = edgesDf(fig1)
-    val got = PatternMatcher.matches(df, path("a", "b", "a")).collect().map { r =>
-      r.getSeq[org.apache.spark.sql.Row](0).map(e => (e.getLong(0), e.getLong(1))).toSet
-    }.toSet
+    val got = matchSets(edgesDf(fig1), path("a", "b", "a")).toSet
     val expected = NaiveIso.matches(path("a", "b", "a"), SubGraph(fig1.toSet)).toSet
     assert(got == expected)
     assert(got.contains(Set((1L, 2L), (2L, 3L))), "the paper's q2 match {(1,2),(2,3)}")
@@ -49,19 +65,27 @@ class PatternMatcherSpec extends SparkSpec {
 
   test("automorphism dedup: b-a-b counts each sub-graph once") {
     val es = Vector(LEdge(1, "b", 2, "a"), LEdge(2, "a", 3, "b"))
-    val df = edgesDf(es)
-    assert(PatternMatcher.embeddings(df, path("b", "a", "b")).count() == 2)
-    assert(PatternMatcher.matchCount(df, path("b", "a", "b")) == 1)
+    assert(NaiveIso.automorphisms(path("b", "a", "b")).size == 2)
+    assert(NaiveIso.embeddings(path("b", "a", "b"), SubGraph(es.toSet)).size == 2)
+    assert(PatternMatcher.matches(edgesDf(es), path("b", "a", "b")).count() == 1)
+  }
+
+  test("one row per automorphism orbit of embeddings") {
+    val g = SubGraph(fig1.toSet)
+    Vector(path("a", "b", "a"), path("b", "a", "b"), singleEdge("a", "b"),
+           path("a", "b", "a", "b")).foreach { q =>
+      val orbits = NaiveIso.embeddings(q, g).size / NaiveIso.automorphisms(q).size
+      assert(PatternMatcher.matches(edgesDf(fig1), q).count() == orbits, s"pattern $q")
+    }
   }
 
   test("injectivity: no vertex is used twice in one match") {
     val es = Vector(LEdge(1, "a", 2, "b"))
-    assert(PatternMatcher.matchCount(edgesDf(es), path("a", "b", "a")) == 0)
+    assert(PatternMatcher.matches(edgesDf(es), path("a", "b", "a")).count() == 0)
   }
 
   test("labels filter matches") {
-    val df = edgesDf(fig1)
-    assert(PatternMatcher.matchCount(df, singleEdge("a", "c")) == 0)
+    assert(PatternMatcher.matches(edgesDf(fig1), singleEdge("a", "c")).count() == 0)
   }
 
   test("spark matches equal brute force on every workload pattern (small graphs)") {
@@ -73,60 +97,60 @@ class PatternMatcherSpec extends SparkSpec {
       else Some(LEdge(math.min(u, v).toLong, labels(math.min(u, v) % 3),
                       math.max(u, v).toLong, labels(math.max(u, v) % 3)))
     }.flatten.take(60).toVector.distinct
-    val df = edgesDf(es)
-    val patterns = Vector(
+    Vector(
       singleEdge("a", "b"), path("a", "b", "c"), path("a", "b", "a"),
       path("c", "b", "a", "b"), star("b", "a", "c"), cycle("a", "b", "c"),
-    )
-    val g = SubGraph(es.toSet)
-    patterns.foreach { q =>
-      val sparkCnt = PatternMatcher.matchCount(df, q)
-      val bruteCnt = NaiveIso.matches(q, g).size
-      assert(sparkCnt == bruteCnt, s"pattern $q: spark=$sparkCnt brute=$bruteCnt")
+      star("a", "b", "b", "b"), cycle("a", "b", "a", "b"),
+    ).foreach(q => assertBruteForce(es, q, "assorted"))
+  }
+
+  test("spark matches equal brute force for every pattern of the four queryable workloads") {
+    val rnd = new scala.util.Random(11)
+    Datasets.queryable.foreach { d =>
+      val w      = Workloads.forDataset(d.name)
+      val labels = w.queries.flatMap(_._1.labels).distinct
+      // 24 vertices, labels cycling through the workload's labels.
+      val es = Iterator.continually((rnd.nextInt(24), rnd.nextInt(24)))
+        .filter { case (u, v) => u != v }
+        .map { case (u, v) => (math.min(u, v), math.max(u, v)) }
+        .take(90).toVector.distinct
+        .map { case (u, v) => LEdge(u.toLong, labels(u % labels.size), v.toLong, labels(v % labels.size)) }
+      w.queries.foreach { case (q, _) => assertBruteForce(es, q, d.name) }
+    }
+    // The automorphic b-a-b case over the same kind of graph.
+    assertBruteForce(Vector(LEdge(1, "b", 2, "a"), LEdge(2, "a", 3, "b"), LEdge(2, "a", 4, "b"),
+                            LEdge(4, "b", 5, "a"), LEdge(3, "b", 5, "a")),
+                     path("b", "a", "b"), "b-a-b")
+  }
+
+  test("the DuckDB oracle agrees row for row on the fig1 fragment") {
+    // Ids 9, 10 and 100 order differently as numbers and as strings.
+    val es = fig1 ++ Vector(LEdge(9, "b", 10, "a"), LEdge(10, "a", 100, "b"))
+    val df = edgesDf(es)
+    Vector(singleEdge("a", "b"), path("a", "b", "a"), path("b", "a", "b"),
+           path("a", "b", "a", "b")).foreach { q =>
+      Oracle.assertEquivalent(PatternMatcher.matches(df, q), PatternMatcher.sql(q),
+                              PatternMatcher.EdgesView -> df)
     }
   }
 
-  test("countSql is validated by the DuckDB oracle on the fig1 fragment") {
-    val df   = edgesDf(fig1)
-    val pmap = IptEvaluator.partitionDf(spark,
-      Map(1L -> 0, 2L -> 0, 3L -> 0, 4L -> 1, 5L -> 1, 6L -> 1))
-    df.createOrReplaceTempView("edges")
-    pmap.createOrReplaceTempView("pmap")
-    Vector(singleEdge("a", "b"), path("a", "b", "a"), path("a", "b", "a", "b"))
-      .foreach { q =>
-        val sql = PatternMatcher.countSql(q)
-        Oracle.assertEquivalent(spark.sql(sql), sql, "edges" -> df, "pmap" -> pmap)
-      }
-  }
-
-  test("countSql is validated by the DuckDB oracle on a generated dataset") {
-    val df = Datasets.provgen.generate(spark, 0.01).cache()
-    try {
-      val vids = df.select("u").union(df.select("v")).distinct().collect().map(_.getLong(0))
-      val pm   = IptEvaluator.partitionDf(spark, vids.map(v => v -> (v % 4).toInt).toMap)
-      df.createOrReplaceTempView("edges")
-      pm.createOrReplaceTempView("pmap")
-      Workloads.provgen.queries.foreach { case (q, _) =>
-        val sql = PatternMatcher.countSql(q)
-        Oracle.assertEquivalent(spark.sql(sql), sql, "edges" -> df, "pmap" -> pm)
-      }
-    } finally df.unpersist()
-  }
-
-  test("countSql embedding counts agree with the DataFrame API embeddings") {
-    val df   = edgesDf(fig1)
-    val pmap = IptEvaluator.partitionDf(spark, (1L to 6L).map(_ -> 0).toMap)
-    df.createOrReplaceTempView("edges")
-    pmap.createOrReplaceTempView("pmap")
-    Vector(path("a", "b", "a"), path("b", "a", "b"), singleEdge("a", "b")).foreach { q =>
-      val sqlCnt = spark.sql(PatternMatcher.countSql(q)).collect()(0).getLong(0)
-      val apiCnt = PatternMatcher.embeddings(df, q).count()
-      assert(sqlCnt == apiCnt, s"pattern $q: sql=$sqlCnt api=$apiCnt")
+  test("the DuckDB oracle agrees row for row on every generated dataset") {
+    Datasets.queryable.foreach { d =>
+      // One partition: the graphs are tiny, and the default 64 would make
+      // every scan run 64 tasks.
+      val df = d.generate(spark, 0.01).coalesce(1).cache()
+      try {
+        val found = Workloads.forDataset(d.name).queries.map { case (q, _) =>
+          val ms = PatternMatcher.matches(df, q)
+          Oracle.assertEquivalent(ms, PatternMatcher.sql(q), PatternMatcher.EdgesView -> df)
+          ms.count()
+        }
+        assert(found.sum > 0, s"${d.name}: no matches to compare")
+      } finally df.unpersist()
     }
   }
 
   test("empty graphs yield zero matches") {
-    val df = edgesDf(Vector.empty)
-    assert(PatternMatcher.matchCount(df, path("a", "b")) == 0)
+    assert(PatternMatcher.matches(edgesDf(Vector.empty), path("a", "b")).count() == 0)
   }
 }
