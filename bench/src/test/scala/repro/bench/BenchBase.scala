@@ -3,9 +3,11 @@ package repro.bench
 import java.io.{File, PrintWriter}
 import repro.SparkSpec
 
-/** Base for benchmark suites: each bench prints its table to stdout and
-  * writes it to bench_results/<name>.txt, where runs can be diffed against
-  * each other and against the paper's numbers.
+/** Base for benchmark suites: each bench runs its experiment from
+  * [[repro.engine.Experiments]], asserts the paper's shape on the rows, and
+  * reports the experiment's table: printed to stdout and written to
+  * bench_results/<name>.txt, where runs can be diffed against each other and
+  * against the paper's numbers (`repro.jobs.Run` prints the same table).
   *
   * BENCH_SF scales all benchmark datasets (default 1.0 = the lite scale
   * defined in [[repro.graphgen.Datasets]]).

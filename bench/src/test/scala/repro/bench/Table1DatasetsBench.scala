@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.graphgen.Datasets
+import repro.engine.Experiments
 
 /** Table 1 reproduction: graph datasets, incl. size & heterogeneity.
   *
@@ -12,19 +12,10 @@ import repro.graphgen.Datasets
 class Table1DatasetsBench extends BenchBase {
 
   test("Table 1: dataset sizes and heterogeneity") {
-    val header =
-      f"${"Dataset"}%-12s ${"paper ~V"}%9s ${"paper ~E"}%9s ${"|L_V|"}%6s " +
-      f"${"gen |V|"}%9s ${"gen |E|"}%10s ${"Real"}%5s  Description"
-    val lines = Datasets.all.map { d =>
-      val edges = d.generate(spark, benchSf).cache()
-      try {
-        val m = edges.count()
-        val n = edges.select("u").union(edges.select("v")).distinct().count()
-        assert(m > 0 && n > 0, s"${d.name} generated an empty graph")
-        f"${d.name}%-12s ${d.paperV}%9s ${d.paperE}%9s ${d.numLabels}%6d " +
-        f"$n%9d $m%10d ${if (d.real) "Y" else "N"}%5s  ${d.description}"
-      } finally edges.unpersist()
+    val rows = Experiments.table1(spark, benchSf)
+    report("table1", Experiments.formatTable1(rows))
+    rows.foreach { case Experiments.DatasetSize(d, n, m) =>
+      assert(m > 0 && n > 0, s"${d.name} generated an empty graph")
     }
-    report("table1", header +: lines)
   }
 }

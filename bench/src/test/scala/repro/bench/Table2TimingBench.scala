@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.engine.ExperimentRunner
+import repro.engine.{ExperimentRunner, Experiments}
 import repro.graphgen.{Datasets, StreamOrder}
 import repro.workloads.Workloads
 
@@ -19,23 +19,12 @@ import repro.workloads.Workloads
 class Table2TimingBench extends BenchBase {
 
   test("Table 2: time to partition 10k edges") {
-    val header = f"${"Dataset"}%-12s ${"LDG(ms)"}%9s ${"Fennel(ms)"}%11s " +
-                 f"${"Loom(ms)"}%9s ${"Hash(ms)"}%9s ${"Loom/Fennel"}%12s"
-    val lines = Datasets.all.map { d =>
-      val stream = StreamOrder.stream(d.generate(spark, benchSf), StreamOrder.Bfs)
-      val (n, m) = ExperimentRunner.graphStats(stream)
-      val w      = Workloads.forDataset(d.name)
-      // Warm-up pass (JIT) on a prefix, then measure the full stream.
-      Vector("LDG", "Fennel", "Loom", "Hash").foreach { s =>
-        ExperimentRunner.partition(s, stream.take(5000), 8, n, m, w, benchWindow)
-      }
-      val t = Vector("LDG", "Fennel", "Loom", "Hash").map { s =>
-        ExperimentRunner.partition(s, stream, 8, n, m, w, benchWindow).msPer10k
-      }
-      assert(t.forall(_ > 0), s"${d.name}: zero timing")
-      f"${d.name}%-12s ${t(0)}%9.1f ${t(1)}%11.1f ${t(2)}%9.1f ${t(3)}%9.1f ${t(2) / t(1)}%12.2f"
+    val rows = Experiments.table2(spark, benchSf, benchWindow)
+    report("table2", Experiments.formatTable2(rows))
+    rows.foreach { case (name, runs) =>
+      val t = runs.map(_.msPer10k)
+      assert(t.forall(_ > 0), s"$name: zero timing")
     }
-    report("table2", header +: lines)
   }
 
   test("Table 2 shape: Hash is fastest; Loom is the slowest of the four") {
@@ -43,10 +32,7 @@ class Table2TimingBench extends BenchBase {
     val stream = StreamOrder.stream(d.generate(spark, benchSf), StreamOrder.Bfs)
     val (n, m) = ExperimentRunner.graphStats(stream)
     val w      = Workloads.forDataset(d.name)
-    def time(s: String): Double = {
-      ExperimentRunner.partition(s, stream.take(5000), 8, n, m, w, benchWindow)
-      ExperimentRunner.partition(s, stream, 8, n, m, w, benchWindow).msPer10k
-    }
+    def time(s: String): Double = Experiments.timed(s, stream, n, m, w, benchWindow).msPer10k
     val (hash, ldg, fennel, loom) = (time("Hash"), time("LDG"), time("Fennel"), time("Loom"))
     assert(hash < ldg && hash < fennel && hash < loom, s"Hash not fastest: $hash $ldg $fennel $loom")
     assert(loom > fennel, s"Loom ($loom) should cost more than Fennel ($fennel)")

@@ -14,16 +14,11 @@ import repro.partition.PartitionState
   */
 object EqualOpportunism {
 
-  /** Parameters: α controls how aggressively l penalises larger partitions
-    * (paper default 2/3) and b caps the maximum imbalance (paper uses 1.1,
-    * emulating Fennel).
+  /** α: how aggressively l penalises larger partitions (the paper's 2/3).
+    * The maximum imbalance b is not a parameter here: it is Loom's capacity
+    * slack (1.1, emulating Fennel), which `state.capacity` = b·n/k carries.
     */
-  final case class Params(alpha: Double = 2.0 / 3.0, b: Double = 1.1,
-                          maxChosen: Int = Int.MaxValue) {
-    require(alpha > 0 && alpha <= 1, "alpha must be in (0, 1]")
-    require(b >= 1, "b must be >= 1")
-    require(maxChosen >= 1, "maxChosen must be >= 1")
-  }
+  val Alpha: Double = 2.0 / 3.0
 
   /** The ration l(S_i) ∈ [0, 1] (paper eq. 2, corrected to be inversely
     * correlated with |V(S_i)|/S_min as the prose and worked example demand):
@@ -33,12 +28,12 @@ object EqualOpportunism {
     * partitions from bidding mid-stream and degenerate every allocation to
     * least-loaded), and (S_min/|V(S_i)|)·α in between.
     */
-  def ration(state: PartitionState, pid: Int, params: Params): Double = {
+  def ration(state: PartitionState, pid: Int): Double = {
     val sMin = state.minSizeFloored
     val si   = state.size(pid)
     if (si >= state.capacity) 0.0
     else if (si <= sMin) 1.0
-    else (sMin.toDouble / si) * params.alpha
+    else (sMin.toDouble / si) * Alpha
   }
 
   /** bid(S_i, ⟨E_k, m_k⟩) = N(S_i, E_k) · (1 − |V(S_i)|/C) · supp(m_k)
@@ -74,17 +69,15 @@ object EqualOpportunism {
     * match is always chosen so the evicted edge itself is always placed.
     */
   def allocate(state: PartitionState, matches: Vector[MotifMatch],
-               params: Params = Params(),
                fallbackWinner: Option[Int] = None,
                neighbourN: (VId, Int) => Int = (_, _) => 0): Allocation = {
     require(matches.nonEmpty, "allocate requires at least one match")
     val sorted = matches.sortBy(m => (-m.support, m.size))
 
     def prefixLen(pid: Int): Int = {
-      val l = ration(state, pid, params)
+      val l = ration(state, pid)
       if (l <= 0) 0
-      else math.min(params.maxChosen,
-                    math.min(sorted.size, math.ceil(l * sorted.size).toInt))
+      else math.min(sorted.size, math.ceil(l * sorted.size).toInt)
     }
 
     def totalBid(pid: Int): Double =

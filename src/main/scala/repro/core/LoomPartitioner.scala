@@ -21,16 +21,13 @@ final class LoomPartitioner(
     k: Int,
     nExpected: Long,
     motifs: MotifIndex,
-    val windowCapacity: Int = 10000,
-    eoParams: EqualOpportunism.Params = EqualOpportunism.Params(),
-    capacitySlack: Double = 1.1,
-    clusterAssign: Boolean = true // ablation: false assigns only the evicted edge
+    val windowCapacity: Int = 10000
 ) extends StreamingPartitioner {
   require(windowCapacity >= 1, "window capacity must be >= 1")
 
   override val name = "Loom"
-  override val state =
-    new PartitionState(k, capacity = math.max(1.0, capacitySlack * nExpected.toDouble / k))
+  override val state = new PartitionState(
+    k, capacity = math.max(1.0, LoomPartitioner.CapacitySlack * nExpected.toDouble / k))
 
   val matcher = new MotifMatcher(motifs)
 
@@ -104,16 +101,12 @@ final class LoomPartitioner(
     val nMemo = scala.collection.mutable.Map.empty[VId, Array[Int]]
     def neighbourN(v: VId, pid: Int): Int =
       nMemo.getOrElseUpdate(v, adjacency.neighbourCounts(v, state))(pid)
-    val alloc = EqualOpportunism.allocate(state, mE, eoParams,
+    val alloc = EqualOpportunism.allocate(state, mE,
                                           fallbackWinner = Some(ldgBestCluster(mE)),
                                           neighbourN = neighbourN)
     if (alloc.fallback) zeroBidEvictions += 1
-    val assignedEdges =
-      if (clusterAssign) alloc.chosen.iterator.flatMap(_.edges).toSet
-      else Set(eOld)
-    val assignedVerts =
-      if (clusterAssign) alloc.chosen.iterator.flatMap(_.vertices).toSet
-      else Set(eOld.u, eOld.v)
+    val assignedEdges = alloc.chosen.iterator.flatMap(_.edges).toSet
+    val assignedVerts = alloc.chosen.iterator.flatMap(_.vertices).toSet
     assignedVerts.foreach { v =>
       if (!state.isAssigned(v)) { state.assign(v, alloc.winner); eoVertices += 1 }
     }
@@ -151,4 +144,12 @@ final class LoomPartitioner(
 
   /** LDG placement for a single vertex (used for non-motif edges, §4). */
   private def ldgPlace(v: VId): Unit = LdgPartitioner.place(state, adjacency, v)
+}
+
+object LoomPartitioner {
+
+  /** Capacity slack b: each partition's capacity is b·n/k (the paper's 1.1,
+    * emulating Fennel's ν); equal opportunism's ration is 0 at capacity.
+    */
+  val CapacitySlack: Double = 1.1
 }

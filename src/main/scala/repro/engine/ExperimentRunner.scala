@@ -2,7 +2,7 @@ package repro.engine
 
 import org.apache.spark.sql.DataFrame
 import repro.core.Model._
-import repro.core.{EqualOpportunism, LoomPartitioner, Signature, TPSTry}
+import repro.core.{LoomPartitioner, Signature, TPSTry}
 import repro.graphgen.{Dataset, StreamOrder}
 import repro.partition._
 
@@ -23,27 +23,26 @@ object ExperimentRunner {
     def msPer10k: Double = if (edges == 0) 0 else elapsedMs * 10000.0 / edges
   }
 
-  /** One (dataset, order, system, k) quality measurement. */
+  /** One (dataset, order, system, k, window) quality measurement. */
   final case class IptRow(dataset: String, order: String, system: String, k: Int,
-                          weightedIpt: Double, matches: Long, imbalance: Double,
-                          msPer10k: Double)
+                          window: Int, weightedIpt: Double, matches: Long,
+                          imbalance: Double, msPer10k: Double)
+
+  /** The paper's default TPSTry++ support threshold T (40%). */
+  private val SupportThreshold = 0.4
 
   /** Build a partitioner by name. Loom derives its TPSTry++ from the
-    * workload with the paper's default support threshold (40%).
+    * workload with support threshold [[SupportThreshold]].
     */
   def makePartitioner(system: String, k: Int, n: Long, m: Long,
-                      workload: Workload, windowSize: Int,
-                      supportThreshold: Double = 0.4,
-                      p: Int = Signature.DefaultP,
-                      labelSeed: Long = 42L): StreamingPartitioner = system match {
+                      workload: Workload, windowSize: Int): StreamingPartitioner = system match {
     case "Hash"   => new HashPartitioner(k, n)
     case "LDG"    => new LdgPartitioner(k, n)
     case "Fennel" => new FennelPartitioner(k, n, m)
     case "Loom" =>
-      implicit val coder: Signature.LabelCoder = new Signature.LabelCoder(p, labelSeed)
+      implicit val coder: Signature.LabelCoder = new Signature.LabelCoder()
       val trie = TPSTry.ofWorkload(workload)
-      new LoomPartitioner(k, n, trie.motifIndex(supportThreshold), windowSize,
-                          EqualOpportunism.Params())
+      new LoomPartitioner(k, n, trie.motifIndex(SupportThreshold), windowSize)
     case other => sys.error(s"unknown system $other")
   }
 
@@ -51,9 +50,8 @@ object ExperimentRunner {
     * wall time, and final imbalance.
     */
   def partition(system: String, stream: Vector[LEdge], k: Int, n: Long, m: Long,
-                workload: Workload, windowSize: Int,
-                supportThreshold: Double = 0.4): PartitionRun = {
-    val part  = makePartitioner(system, k, n, m, workload, windowSize, supportThreshold)
+                workload: Workload, windowSize: Int): PartitionRun = {
+    val part  = makePartitioner(system, k, n, m, workload, windowSize)
     val start = System.nanoTime()
     stream.foreach(part.add)
     part.finish()
@@ -72,15 +70,14 @@ object ExperimentRunner {
     * the graph's per-edge match counts (see [[IptEvaluator.counts]]).
     */
   def compareSystems(dataset: Dataset, edgesDf: DataFrame, order: StreamOrder.Order,
-                     counts: IptEvaluator.WorkloadCounts, k: Int, windowSize: Int,
-                     systems: Vector[String] = Systems,
-                     seed: Long = 11L): Vector[IptRow] = {
-    val stream = StreamOrder.stream(edgesDf, order, seed)
+                     counts: IptEvaluator.WorkloadCounts, k: Int,
+                     windowSize: Int): Vector[IptRow] = {
+    val stream = StreamOrder.stream(edgesDf, order)
     val (n, m) = graphStats(stream)
-    systems.map { sys =>
+    Systems.map { sys =>
       val run = partition(sys, stream, k, n, m, counts.workload, windowSize)
       val res = counts.score(run.pmap)
-      IptRow(dataset.name, order.name, sys, k, res.totalWeightedIpt,
+      IptRow(dataset.name, order.name, sys, k, windowSize, res.totalWeightedIpt,
              res.totalMatches, run.imbalance, run.msPer10k)
     }
   }

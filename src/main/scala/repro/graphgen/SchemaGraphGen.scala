@@ -89,15 +89,4 @@ object SchemaGraphGen {
       spark.range(start, start + cnt).select(col("id") as "vid", lit(l) as "label")
     }.reduce(_ unionAll _)
   }
-
-  /** Ground-truth community of a vertex id under `schema` at n vertices
-    * (exposed for diagnostics and oracle partitionings in tests/benches).
-    */
-  def communityOf(schema: GraphSchema, n: Long)(vid: Long): Int = {
-    val ranges = schema.ranges(n)
-    val (start, cnt) = ranges.values.find { case (s, c) => vid >= s && vid < s + c }
-      .getOrElse(sys.error(s"vertex $vid outside id space [0, $n)"))
-    val sliceLen = math.max(1L, cnt / schema.communities.count)
-    math.min(schema.communities.count - 1, ((vid - start) / sliceLen)).toInt
-  }
 }

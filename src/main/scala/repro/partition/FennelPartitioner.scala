@@ -9,17 +9,17 @@ import repro.core.Model._
   * the Loom paper's evaluation) and α = m·k^(γ−1)/n^γ, subject to the hard
   * balance constraint |S_i| < ν·n/k with ν = 1.1.
   */
-final class FennelPartitioner(k: Int, nExpected: Long, mExpected: Long,
-                              gamma: Double = 1.5, nu: Double = 1.1)
+final class FennelPartitioner(k: Int, nExpected: Long, mExpected: Long)
     extends StreamingPartitioner {
+  import FennelPartitioner.{Gamma, Nu}
+
   override val name = "Fennel"
 
   private val n     = math.max(1L, nExpected).toDouble
   private val m     = math.max(1L, mExpected).toDouble
-  private val alpha = m * math.pow(k.toDouble, gamma - 1) / math.pow(n, gamma)
-  private val hardCap = math.max(1.0, nu * n / k)
+  private val alpha = m * math.pow(k.toDouble, Gamma - 1) / math.pow(n, Gamma)
 
-  override val state = new PartitionState(k, capacity = hardCap)
+  override val state = new PartitionState(k, capacity = math.max(1.0, Nu * n / k))
 
   private val adjacency = new AdjacencyTracker
 
@@ -31,19 +31,16 @@ final class FennelPartitioner(k: Int, nExpected: Long, mExpected: Long,
 
   private def place(v: VId): Unit = if (!state.isAssigned(v)) {
     val counts = adjacency.neighbourCounts(v, state)
-    var best      = -1
-    var bestScore = Double.NegativeInfinity
-    var i         = 0
-    while (i < state.k) {
-      if (state.size(i) < hardCap) {
-        val score = counts(i) - alpha * gamma * math.pow(state.size(i).toDouble, gamma - 1)
-        if (score > bestScore ||
-            (score == bestScore && best >= 0 && state.size(i) < state.size(best))) {
-          best = i; bestScore = score
-        }
-      }
-      i += 1
-    }
-    state.assign(v, if (best >= 0) best else state.leastLoaded)
+    state.assign(v, state.bestOpen(i =>
+      counts(i) - alpha * Gamma * math.pow(state.size(i).toDouble, Gamma - 1)))
   }
+}
+
+object FennelPartitioner {
+
+  /** The cost exponent γ used throughout the Loom paper's evaluation. */
+  val Gamma: Double = 1.5
+
+  /** Hard balance slack ν: |S_i| < ν·n/k. */
+  val Nu: Double = 1.1
 }

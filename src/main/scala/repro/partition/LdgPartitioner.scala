@@ -11,11 +11,10 @@ import repro.core.Model._
   * the all-zero score of a fresh vertex) go to the least-loaded partition,
   * which keeps LDG's imbalance within a few percent (paper §5.2).
   */
-final class LdgPartitioner(k: Int, nExpected: Long, slack: Double = 1.1)
-    extends StreamingPartitioner {
+final class LdgPartitioner(k: Int, nExpected: Long) extends StreamingPartitioner {
   override val name  = "LDG"
-  override val state =
-    new PartitionState(k, capacity = math.max(1.0, slack * nExpected.toDouble / k))
+  override val state = new PartitionState(
+    k, capacity = math.max(1.0, LdgPartitioner.Slack * nExpected.toDouble / k))
 
   private val adjacency = new AdjacencyTracker
 
@@ -28,26 +27,16 @@ final class LdgPartitioner(k: Int, nExpected: Long, slack: Double = 1.1)
 
 object LdgPartitioner {
 
+  /** Capacity C = slack·n/k (Stanton & Kliot's 1.1). */
+  val Slack: Double = 1.1
+
   /** Place v, if unassigned, on the open partition maximising
-    * `N(S_i, v) · (1 − |V(S_i)|/C)`. Ties go to the less loaded partition;
-    * if every partition is full, v goes to the least-loaded one.
+    * `N(S_i, v) · (1 − |V(S_i)|/C)` (tie and all-full rules of
+    * [[PartitionState.bestOpen]]).
     */
   def place(state: PartitionState, adjacency: AdjacencyTracker, v: VId): Unit =
     if (!state.isAssigned(v)) {
       val counts = adjacency.neighbourCounts(v, state)
-      var best      = -1
-      var bestScore = Double.NegativeInfinity
-      var i         = 0
-      while (i < state.k) {
-        if (state.size(i) < state.capacity) {
-          val score = counts(i) * (1.0 - state.size(i) / state.capacity)
-          if (score > bestScore ||
-              (score == bestScore && best >= 0 && state.size(i) < state.size(best))) {
-            best = i; bestScore = score
-          }
-        }
-        i += 1
-      }
-      state.assign(v, if (best >= 0) best else state.leastLoaded)
+      state.assign(v, state.bestOpen(i => counts(i) * (1.0 - state.size(i) / state.capacity)))
     }
 }

@@ -40,6 +40,26 @@ final class PartitionState(val k: Int, val capacity: Double) {
   /** Index of a least-loaded partition (lowest index on ties). */
   def leastLoaded: Int = counts.indices.minBy(counts)
 
+  /** The open partition (size below capacity) with the highest `score`.
+    * Ties go to the smaller partition, then to the lower index; if every
+    * partition is full, the least-loaded one.
+    */
+  def bestOpen(score: Int => Double): Int = {
+    var best      = -1
+    var bestScore = Double.NegativeInfinity
+    var i         = 0
+    while (i < k) {
+      if (counts(i) < capacity) {
+        val s = score(i)
+        if (s > bestScore || (s == bestScore && best >= 0 && counts(i) < counts(best))) {
+          best = i; bestScore = s
+        }
+      }
+      i += 1
+    }
+    if (best >= 0) best else leastLoaded
+  }
+
   /** Size of the smallest partition, floored at 1 (for ration computations). */
   def minSizeFloored: Int = math.max(1, counts.min)
 

@@ -36,32 +36,32 @@ class EqualOpportunismSpec extends SparkSpec {
 
   test("ration is 1 for the smallest partition") {
     val s = mkState(2, 100, Vector(3, 5))
-    assert(ration(s, 0, Params()) == 1.0)
+    assert(ration(s, 0) == 1.0)
   }
 
   test("ration is 0 at the maximum-imbalance capacity") {
     val s = mkState(2, 20, Vector(10, 23)) // 23 >= capacity 20
-    assert(ration(s, 1, Params()) == 0.0)
-    assert(ration(s, 0, Params()) == 1.0, "the smallest partition still bids")
+    assert(ration(s, 1) == 0.0)
+    assert(ration(s, 0) == 1.0, "the smallest partition still bids")
   }
 
   test("ration is (S_min/|V|)·α between the extremes") {
     val s = mkState(2, 100, Vector(10, 11)) // 11 <= 1.1 * 10
-    val l = ration(s, 1, Params(alpha = 2.0 / 3.0))
+    val l = ration(s, 1)
     assert(math.abs(l - (10.0 / 11.0) * (2.0 / 3.0)) < 1e-12)
   }
 
   test("paper's worked example: a partition 33.3% larger gets ration 1/2") {
     // S1 has 4 vertices, S2 has 3 (33.3% larger); α=2/3 (the paper's default,
-    // written reciprocally as 1.5 in its example); b relaxed to allow it.
+    // written reciprocally as 1.5 in its example); both are far below capacity.
     val s = mkState(2, 100, Vector(4, 3))
-    val l = ration(s, 0, Params(alpha = 2.0 / 3.0, b = 1.5))
+    val l = ration(s, 0)
     assert(math.abs(l - 0.5) < 1e-12, s"expected 1/2, got $l")
   }
 
   test("ration with empty partitions does not divide by zero") {
     val s = mkState(3, 100, Vector(0, 0, 0))
-    (0 until 3).foreach(pid => assert(ration(s, pid, Params()) == 1.0))
+    (0 until 3).foreach(pid => assert(ration(s, pid) == 1.0))
   }
 
   // ---------- bid (eq. 1) ----------

@@ -50,6 +50,22 @@ class PartitionerSpec extends SparkSpec {
     assert(s.minSizeFloored == 1)
   }
 
+  test("bestOpen: ties go to the smaller partition, then the lower index") {
+    val s = new PartitionState(4, 3)
+    s.assign(1, 0); s.assign(2, 0); s.assign(3, 2) // sizes 2, 0, 1, 0
+    assert(s.bestOpen(_ => 1.0) == 1, "smallest, lowest-index partition on a full tie")
+    assert(s.bestOpen(i => if (i == 0 || i == 2) 1.0 else 0.0) == 2, "smaller of the tied two")
+    assert(s.bestOpen(i => if (i == 0) 1.0 else 0.0) == 0, "a higher score beats a smaller size")
+  }
+
+  test("bestOpen skips full partitions and falls back to the least-loaded") {
+    val s = new PartitionState(3, 2)
+    (1L to 5L).foreach(v => s.assign(v, (v % 3).toInt)) // sizes 1, 2, 2
+    assert(s.bestOpen(i => i.toDouble) == 0, "only partition 0 is below capacity")
+    s.assign(6, 0); s.assign(7, 0)                      // sizes 3, 2, 2: all full
+    assert(s.bestOpen(i => i.toDouble) == 1, "all full: least-loaded, lowest index")
+  }
+
   // ---------- AdjacencyTracker ----------
 
   test("AdjacencyTracker counts assigned neighbours per partition") {
