@@ -40,12 +40,11 @@ object EqualOpportunism {
     * (paper eq. 1). Per footnote 8, N generalises **LDG's** N — which counts
     * incident edges in a partition — to sub-graphs: N(S_i, E_k) is the number
     * of edges between E_k's vertices and vertices already assigned to S_i
-    * (`neighbourN`), plus the membership count |V(S_i) ∩ V(E_k)|. When no
-    * adjacency is supplied only the membership term remains (the eq. 1
-    * surface reading).
+    * (`neighbourN(v, i)`, v's seen neighbours in S_i), plus the membership
+    * count |V(S_i) ∩ V(E_k)|.
     */
   def bid(state: PartitionState, pid: Int, m: MotifMatch,
-          neighbourN: (VId, Int) => Int = (_, _) => 0): Double = {
+          neighbourN: (VId, Int) => Int): Double = {
     var n = 0.0
     m.vertices.foreach { v =>
       if (state.partitionOf(v).contains(pid)) n += 1
@@ -55,22 +54,28 @@ object EqualOpportunism {
   }
 
   /** Outcome of an allocation round. `fallback` is true when every total
-    * bid was ≤ 0 and the least-loaded partition won by default.
+    * bid was ≤ 0 and the cluster's LDG choice won.
     */
   final case class Allocation(winner: Int, chosen: Vector[MotifMatch],
                               fallback: Boolean)
 
   /** Run equal opportunism for the eviction of edge e with its motif matches
-    * `matches` (all of which contain e). Matches are sorted by descending
-    * support (smaller matches first on ties — ancestors dominate). The
-    * winner is the partition with the highest total bid over its rationed
-    * prefix; if every total is ≤ 0 (e.g. no match vertex is assigned yet),
-    * the least-loaded partition wins its own rationed prefix. At least one
-    * match is always chosen so the evicted edge itself is always placed.
+    * `matches` (all of which contain e); `neighbourN(v, i)` counts v's seen
+    * neighbours in partition i. Matches are sorted by descending support
+    * (smaller matches first on ties — ancestors dominate). The winner is the
+    * open partition with the highest total bid over its rationed prefix.
+    * If every total is ≤ 0 (e.g. no match vertex is assigned yet), the
+    * winner is the cluster's LDG choice: the open partition maximising
+    * Σ_v neighbourN(v, i) · (1 − |V(S_i)|/C) over all the matches' vertices,
+    * whose adjacency into the partitioned graph still carries signal. Both
+    * choices are [[PartitionState.bestOpen]], so ties go to the smaller
+    * partition, then to the lower index, and a state with every partition
+    * full falls back to the least-loaded one. The winner receives its own
+    * rationed prefix; at least one match is always chosen so the evicted
+    * edge itself is always placed.
     */
   def allocate(state: PartitionState, matches: Vector[MotifMatch],
-               fallbackWinner: Option[Int] = None,
-               neighbourN: (VId, Int) => Int = (_, _) => 0): Allocation = {
+               neighbourN: (VId, Int) => Int): Allocation = {
     require(matches.nonEmpty, "allocate requires at least one match")
     val sorted = matches.sortBy(m => (-m.support, m.size))
 
@@ -83,14 +88,16 @@ object EqualOpportunism {
     def totalBid(pid: Int): Double =
       sorted.take(prefixLen(pid)).map(bid(state, pid, _, neighbourN)).sum
 
-    val totals   = (0 until state.k).map(totalBid)
-    val best     = totals.indices.maxBy(i => (totals(i), -state.size(i)))
+    val totals   = Vector.tabulate(state.k)(totalBid)
+    val best     = state.bestOpen(totals)
     val fallback = totals(best) <= 0
-    // With no informative bids (e.g. every match vertex is still unassigned)
-    // defer to the caller-provided heuristic winner — Loom passes the LDG
-    // choice for the evicted edge, its heuristic for non-motif edges (§4) —
-    // or to the least-loaded partition.
-    val winner   = if (fallback) fallbackWinner.getOrElse(state.leastLoaded) else best
+    val winner   =
+      if (!fallback) best
+      else {
+        val verts = sorted.iterator.flatMap(_.vertices).toSet
+        state.bestOpen(i =>
+          verts.iterator.map(neighbourN(_, i)).sum * (1.0 - state.size(i) / state.capacity))
+      }
     Allocation(winner, sorted.take(math.max(1, prefixLen(winner))), fallback)
   }
 }

@@ -45,7 +45,7 @@ final class LoomPartitioner(
   /** Count of eviction rounds run (exposed for tests/benches). */
   var evictions: Long = 0L
 
-  /** Evictions decided by the least-loaded fallback (no positive bids). */
+  /** Evictions with no positive bid, decided by the cluster's LDG choice. */
   var zeroBidEvictions: Long = 0L
 
   /** Edges assigned immediately via LDG (non-motif edges). */
@@ -101,9 +101,7 @@ final class LoomPartitioner(
     val nMemo = scala.collection.mutable.Map.empty[VId, Array[Int]]
     def neighbourN(v: VId, pid: Int): Int =
       nMemo.getOrElseUpdate(v, adjacency.neighbourCounts(v, state))(pid)
-    val alloc = EqualOpportunism.allocate(state, mE,
-                                          fallbackWinner = Some(ldgBestCluster(mE)),
-                                          neighbourN = neighbourN)
+    val alloc = EqualOpportunism.allocate(state, mE, neighbourN)
     if (alloc.fallback) zeroBidEvictions += 1
     val assignedEdges = alloc.chosen.iterator.flatMap(_.edges).toSet
     val assignedVerts = alloc.chosen.iterator.flatMap(_.vertices).toSet
@@ -113,33 +111,6 @@ final class LoomPartitioner(
     // Matches not chosen are dropped implicitly: they all contain eOld,
     // which leaves the window now.
     matcher.removeEdges(assignedEdges)
-  }
-
-  /** LDG-style winner for an evicted cluster whose matches carry no assigned
-    * vertices: the partition holding most already-assigned neighbours of the
-    * cluster's vertices, weighted by residual capacity. The cluster vertices
-    * themselves are unassigned (that is why every bid was zero), but their
-    * adjacency into the already-partitioned graph still carries signal.
-    */
-  private def ldgBestCluster(ms: Vector[MotifMatch]): Int = {
-    val verts  = ms.iterator.flatMap(_.vertices).toSet
-    val counts = Array.fill(state.k)(0)
-    verts.foreach { v =>
-      val c = adjacency.neighbourCounts(v, state)
-      var i = 0
-      while (i < state.k) { counts(i) += c(i); i += 1 }
-    }
-    var best      = -1
-    var bestScore = 0.0
-    var i         = 0
-    while (i < state.k) {
-      if (state.size(i) < state.capacity) {
-        val score = counts(i) * (1.0 - state.size(i) / state.capacity)
-        if (score > bestScore) { best = i; bestScore = score }
-      }
-      i += 1
-    }
-    if (best >= 0) best else state.leastLoaded
   }
 
   /** LDG placement for a single vertex (used for non-motif edges, §4). */

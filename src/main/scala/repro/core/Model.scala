@@ -40,7 +40,7 @@ object Model {
     *
     * Pattern vertices are integers `0 until numVertices`; `labels(i)` is the
     * label of pattern vertex i; `edges` are undirected pairs of pattern
-    * vertex indices.
+    * vertex indices. Every vertex lies on an edge.
     */
   final case class QueryGraph(labels: Vector[String], edges: Vector[(Int, Int)]) {
     require(edges.nonEmpty, "a query graph must have at least one edge")
@@ -49,6 +49,8 @@ object Model {
       require(a >= 0 && a < labels.size && b >= 0 && b < labels.size,
               s"edge ($a,$b) out of range for ${labels.size} vertices")
     }
+    require(edges.flatMap { case (a, b) => Vector(a, b) }.distinct.size == labels.size,
+            "every query vertex must lie on an edge")
 
     def numVertices: Int = labels.size
     def numEdges: Int    = edges.size
@@ -66,6 +68,17 @@ object Model {
         val (la, lb) = (labels(a), labels(b))
         if (la <= lb) (la, lb) else (lb, la)
       }
+
+    /** This pattern's edges as data edges over vertex ids 0..n-1, in
+      * edge-index order.
+      */
+    def dataEdges: Vector[LEdge] =
+      edges.map { case (a, b) => LEdge(a.toLong, labels(a), b.toLong, labels(b)) }
+
+    /** This pattern as a data sub-graph with vertex ids 0..n-1 (no vertex is
+      * lost, since each lies on an edge).
+      */
+    def toSubGraph: SubGraph = SubGraph(dataEdges.toSet)
   }
 
   object QueryGraph {

@@ -13,13 +13,13 @@ import repro.core.Model._
   */
 object NaiveIso {
 
-  /** True iff q1 and q2 are isomorphic (label-preserving, edge-preserving). */
-  def isomorphic(q1: QueryGraph, q2: QueryGraph): Boolean = {
-    if (q1.numVertices != q2.numVertices || q1.numEdges != q2.numEdges) return false
-    if (q1.labels.sorted != q2.labels.sorted) return false
-    val adj2 = adjacency(q2)
-    extend(q1, q2, adj2, Map.empty, 0).nonEmpty
-  }
+  /** True iff q1 and q2 are isomorphic (label-preserving, edge-preserving):
+    * an embedding of q1 into q2 is injective on vertices and maps edges to
+    * edges, so with equal vertex and edge counts it is a bijection on both.
+    */
+  def isomorphic(q1: QueryGraph, q2: QueryGraph): Boolean =
+    q1.numVertices == q2.numVertices && q1.numEdges == q2.numEdges &&
+      embeddings(q1, q2.toSubGraph).nonEmpty
 
   /** All embeddings of pattern q into data graph g, as maps from pattern
     * vertex index to data vertex id. Injective on vertices.
@@ -69,7 +69,7 @@ object NaiveIso {
 
   /** True iff q occurs as a sub-graph of the (small) pattern graph big. */
   def containedIn(q: QueryGraph, big: QueryGraph): Boolean =
-    embeddings(q, asGraph(big)).nonEmpty
+    embeddings(q, big.toSubGraph).nonEmpty
 
   /** The automorphism group Aut(q): every label- and edge-preserving
     * permutation σ of q's vertices, as the vector (σ(0), …, σ(n-1)). An
@@ -77,44 +77,5 @@ object NaiveIso {
     * edges into |E| edges, so it is exactly such a permutation.
     */
   def automorphisms(q: QueryGraph): Vector[Vector[Int]] =
-    embeddings(q, asGraph(q)).map(m => Vector.tabulate(q.numVertices)(i => m(i).toInt))
-
-  /** q as a data graph with vertex ids 0..n-1. Isolated pattern vertices
-    * would be lost, but QueryGraph constructors do not produce them.
-    */
-  private def asGraph(q: QueryGraph): SubGraph =
-    SubGraph(q.edges.map { case (a, b) =>
-      LEdge(a.toLong, q.labels(a), b.toLong, q.labels(b))
-    }.toSet)
-
-  private def adjacency(q: QueryGraph): Map[Int, Set[Int]] = {
-    val m = scala.collection.mutable.Map.empty[Int, Set[Int]].withDefaultValue(Set.empty)
-    q.edges.foreach { case (a, b) => m(a) += b; m(b) += a }
-    m.toMap.withDefaultValue(Set.empty)
-  }
-
-  private def extend(q1: QueryGraph, q2: QueryGraph, adj2: Map[Int, Set[Int]],
-                     mapping: Map[Int, Int], next: Int): Option[Map[Int, Int]] =
-    if (next == q1.numVertices) Some(mapping)
-    else {
-      val used = mapping.values.toSet
-      (0 until q2.numVertices).iterator
-        .filter(v => !used(v) && q2.labels(v) == q1.labels(next) &&
-                     q2.degree(v) == q1.degree(next))
-        .filter { v =>
-          q1.edges.forall { case (a, b) =>
-            val mA = if (a == next) Some(v) else mapping.get(a)
-            val mB = if (b == next) Some(v) else mapping.get(b)
-            (mA, mB) match {
-              case (Some(x), Some(y)) => adj2(x).contains(y)
-              case _                  => true
-            }
-          } &&
-          // edge-count preservation: isomorphism also requires no extra edges,
-          // which holds automatically since |E| matches and q1-edges all map.
-          true
-        }
-        .map(v => extend(q1, q2, adj2, mapping + (next -> v), next + 1))
-        .collectFirst { case Some(m) => m }
-    }
+    embeddings(q, q.toSubGraph).map(m => Vector.tabulate(q.numVertices)(i => m(i).toInt))
 }

@@ -20,35 +20,24 @@ object Signature {
   /** Default prime modulus; the paper uses p = 251 (§2.3, Fig. 4). */
   val DefaultP: Int = 251
 
-  /** A signature: a canonical (sorted) multiset of integer factors. */
-  final case class Sig(factors: Vector[Int]) {
-    require(factors == factors.sorted, "Sig factors must be sorted (use Sig.of)")
-
+  /** A signature: a canonical (sorted) multiset of integer factors.
+    *
+    * Sorted by construction: the class is abstract and sealed, so no `apply`
+    * or `copy` exists and only [[Sig.of]] and `++` build one.
+    */
+  sealed abstract case class Sig(factors: Vector[Int]) {
     def size: Int = factors.size
 
     /** Multiset union with another signature / factor delta. */
     def ++(that: Sig): Sig = Sig.of(factors ++ that.factors)
-
-    /** Multiset difference (this minus that); None if `that` ⊄ this. */
-    def --(that: Sig): Option[Sig] = {
-      val counts = scala.collection.mutable.Map.empty[Int, Int]
-      factors.foreach(f => counts(f) = counts.getOrElse(f, 0) + 1)
-      var ok = true
-      that.factors.foreach { f =>
-        val c = counts.getOrElse(f, 0)
-        if (c == 0) ok = false else counts(f) = c - 1
-      }
-      if (!ok) None
-      else Some(Sig.of(counts.toVector.flatMap { case (f, c) => Vector.fill(c)(f) }))
-    }
 
     /** The big-integer product of the factors (paper §2.1's "signature"). */
     def product: BigInt = factors.foldLeft(BigInt(1))(_ * _)
   }
 
   object Sig {
-    val empty: Sig                    = Sig(Vector.empty)
-    def of(fs: Iterable[Int]): Sig    = Sig(fs.toVector.sorted)
+    val empty: Sig                    = of(Vector.empty[Int])
+    def of(fs: Iterable[Int]): Sig    = new Sig(fs.toVector.sorted) {}
     def of(fs: Int*): Sig             = of(fs.toVector)
   }
 
@@ -71,9 +60,6 @@ object Signature {
         pool(values.size)
       })
     }
-
-    /** Labels registered so far, in registration order. */
-    def knownLabels: Vector[String] = synchronized(values.keys.toVector)
   }
 
   /** Map x into [1, p]: the paper does not consider 0 a valid factor and
@@ -116,37 +102,12 @@ object Signature {
       degreeFactor(e.vLabel, g.degree(e.v) + 1)
     )
 
-  /** Full signature of a concrete sub-graph (built incrementally edge-by-edge). */
-  def ofSubGraph(g: SubGraph)(implicit coder: LabelCoder): Sig = {
-    val edgeFs = g.edges.toVector.map(e => edgeFactor(e.uLabel, e.vLabel))
-    val degFs = g.vertices.toVector.flatMap { v =>
-      (1 to g.degree(v)).map(k => degreeFactor(g.labelOf(v), k))
-    }
-    Sig.of(edgeFs ++ degFs)
-  }
-
-  /** Full signature of a pattern graph. */
-  def ofQueryGraph(q: QueryGraph)(implicit coder: LabelCoder): Sig = {
-    val edgeFs = q.edges.map { case (a, b) => edgeFactor(q.labels(a), q.labels(b)) }
-    val degFs = (0 until q.numVertices).flatMap { i =>
-      (1 to q.degree(i)).map(k => degreeFactor(q.labels(i), k))
-    }
-    Sig.of(edgeFs ++ degFs)
-  }
-
-  /** Factors a pattern edge (a,b) adds to pattern sub-graph `have` (a set of
-    * edge indices of q): the pattern-side analogue of [[fac]].
+  /** Full signature of a concrete sub-graph: [[fac]] folded over its edges.
+    * Every vertex of degree n collects degree factors 1..n whatever the edge
+    * order, so the result does not depend on it.
     */
-  def facPattern(q: QueryGraph, have: Set[Int], edgeIdx: Int)
-                (implicit coder: LabelCoder): Sig = {
-    val (a, b) = q.edges(edgeIdx)
-    def degIn(v: Int): Int = have.count { i =>
-      val (x, y) = q.edges(i); x == v || y == v
-    }
-    Sig.of(
-      edgeFactor(q.labels(a), q.labels(b)),
-      degreeFactor(q.labels(a), degIn(a) + 1),
-      degreeFactor(q.labels(b), degIn(b) + 1)
-    )
-  }
+  def ofSubGraph(g: SubGraph)(implicit coder: LabelCoder): Sig =
+    g.edges.foldLeft((SubGraph.empty, Sig.empty)) { case ((h, sig), e) =>
+      (h + e, sig ++ fac(e, h))
+    }._2
 }

@@ -58,59 +58,44 @@ final class TPSTry(implicit val coder: LabelCoder) {
 
   /** Add a query graph with the given workload frequency (Alg. 1).
     *
-    * Enumerates every connected sub-graph of q exactly once (breadth-first
-    * over edge subsets), merging nodes across queries by signature; support
-    * is credited once per query per distinct signature, so re-derivable
-    * sub-graphs (the DAG case, e.g. a-b-a-b from both b-a-b and a-b-a) do
-    * not over-count.
+    * Enumerates every connected sub-graph of q exactly once, breadth-first
+    * over sub-graphs of `q.toSubGraph`, extending each by its incident edges
+    * in edge-index order. A child's signature is its parent's plus
+    * `fac(e, g)`, the delta the stream matcher (Alg. 2) follows, so trie and
+    * stream agree by construction. Nodes merge across queries by signature;
+    * support is credited once per query per distinct signature, so
+    * re-derivable sub-graphs (the DAG case, e.g. a-b-a-b from both b-a-b and
+    * a-b-a) do not over-count.
     */
   def add(q: QueryGraph, frequency: Double = 1.0): Unit = {
     require(frequency > 0, "frequency must be positive")
     totalWeight += frequency
 
+    val edges        = q.dataEdges
     val creditedSigs = mutable.Set.empty[Sig]
-    val visitedSets  = mutable.Set.empty[Set[Int]]
-    // Queue of (edge-index set, signature) for connected sub-graphs of q.
-    val queue = mutable.Queue.empty[(Set[Int], Sig)]
-    queue.enqueue((Set.empty[Int], Sig.empty))
-    visitedSets += Set.empty[Int]
+    val visited      = mutable.Set(SubGraph.empty)
+    // Queue of (connected sub-graph of q, its signature).
+    val queue = mutable.Queue((SubGraph.empty, Sig.empty))
 
     while (queue.nonEmpty) {
-      val (have, sigHave) = queue.dequeue()
-      val parent          = if (have.isEmpty) root else nodesBySig(sigHave)
-      for (eIdx <- q.edges.indices if !have.contains(eIdx) && incident(q, have, eIdx)) {
-        val delta   = facPattern(q, have, eIdx)
-        val nextSig = sigHave ++ delta
+      val (g, sigG) = queue.dequeue()
+      val parent    = if (g.size == 0) root else nodesBySig(sigG)
+      for (e <- edges if !g.contains(e) && g.incident(e)) {
+        val delta   = fac(e, g)
+        val next    = g + e
+        val nextSig = sigG ++ delta
         val child = nodesBySig.getOrElseUpdate(nextSig, {
-          new Node(nextSig, subPattern(q, have + eIdx), have.size + 1)
+          new Node(nextSig, next.toQueryGraph, next.size)
         })
         parent.childLinks.getOrElseUpdate(delta, child)
         if (creditedSigs.add(nextSig)) child.supportWeight += frequency
-        val nextSet = have + eIdx
-        if (visitedSets.add(nextSet)) queue.enqueue((nextSet, nextSig))
+        if (visited.add(next)) queue.enqueue((next, nextSig))
       }
     }
   }
 
   /** Filtered motif view at support threshold T (paper default 40%). */
   def motifIndex(threshold: Double): MotifIndex = new MotifIndex(this, threshold)
-
-  /** True if pattern edge eIdx touches the sub-graph `have` (any edge touches
-    * the empty graph — it starts a new sub-graph).
-    */
-  private def incident(q: QueryGraph, have: Set[Int], eIdx: Int): Boolean =
-    have.isEmpty || {
-      val (a, b) = q.edges(eIdx)
-      have.exists { i => val (x, y) = q.edges(i); x == a || y == a || x == b || y == b }
-    }
-
-  /** The sub-pattern of q induced by edge-index set `es`, re-indexed. */
-  private def subPattern(q: QueryGraph, es: Set[Int]): QueryGraph = {
-    val vs  = es.toVector.sorted.flatMap { i => val (a, b) = q.edges(i); Vector(a, b) }.distinct
-    val idx = vs.zipWithIndex.toMap
-    QueryGraph(vs.map(q.labels).toVector,
-               es.toVector.sorted.map { i => val (a, b) = q.edges(i); (idx(a), idx(b)) })
-  }
 }
 
 object TPSTry {

@@ -86,7 +86,7 @@ object Experiments {
 
   def formatFig7(rows: Vector[(IptRow, Double)]): Vector[String] = {
     val header = f"${"Dataset"}%-12s ${"Order"}%-7s ${"System"}%-7s " +
-                 f"${"ipt%%vsHash"}%10s ${"abs ipt"}%12s ${"imbalance"}%10s"
+                 f"${"ipt%vsHash"}%10s ${"abs ipt"}%12s ${"imbalance"}%10s"
     val lines = rows.map { case (r, pct) =>
       f"${r.dataset}%-12s ${r.order}%-7s ${r.system}%-7s " +
       f"$pct%10.1f ${r.weightedIpt}%12.0f ${r.imbalance}%10.3f"
@@ -116,7 +116,7 @@ object Experiments {
     byConfig(rows)(r => (r.dataset, r.k)).map { case (_, pct) => pct("Loom") < pct("Fennel") }
 
   def formatFig8(rows: Vector[(IptRow, Double)]): Vector[String] = {
-    val header = f"${"Dataset"}%-12s ${"k"}%3s ${"System"}%-7s ${"ipt%%vsHash"}%10s ${"abs ipt"}%12s"
+    val header = f"${"Dataset"}%-12s ${"k"}%3s ${"System"}%-7s ${"ipt%vsHash"}%10s ${"abs ipt"}%12s"
     val lines  = rows.map { case (r, pct) =>
       f"${r.dataset}%-12s ${r.k}%3d ${r.system}%-7s $pct%10.1f ${r.weightedIpt}%12.0f"
     }

@@ -80,13 +80,4 @@ object SchemaGraphGen {
       when(col("a") < col("b"), col("bl")).otherwise(col("al")) as "vl",
     ).dropDuplicates("u", "v")
   }
-
-  /** Vertex DataFrame `(vid, label)` for the schema's full id space. */
-  def vertices(spark: SparkSession, schema: GraphSchema, n: Long): DataFrame = {
-    val ranges = schema.ranges(n)
-    schema.labels.map { l =>
-      val (start, cnt) = ranges(l)
-      spark.range(start, start + cnt).select(col("id") as "vid", lit(l) as "label")
-    }.reduce(_ unionAll _)
-  }
 }

@@ -42,7 +42,9 @@ final class PartitionState(val k: Int, val capacity: Double) {
 
   /** The open partition (size below capacity) with the highest `score`.
     * Ties go to the smaller partition, then to the lower index; if every
-    * partition is full, the least-loaded one.
+    * partition is full, the least-loaded one. This is the one greedy choice
+    * of LDG, Fennel and equal opportunism (its winner and its zero-bid
+    * fallback).
     */
   def bestOpen(score: Int => Double): Int = {
     var best      = -1

@@ -12,6 +12,9 @@ class EqualOpportunismSpec extends SparkSpec {
 
   private implicit val coder: LabelCoder = new LabelCoder()
 
+  /** No vertex has seen neighbours anywhere: bids count membership only. */
+  private val noNeighbours: (VId, Int) => Int = (_, _) => 0
+
   private def mkState(k: Int, capacity: Double, sizes: Vector[Int]): PartitionState = {
     val s = new PartitionState(k, capacity)
     var next = 100000L
@@ -70,17 +73,17 @@ class EqualOpportunismSpec extends SparkSpec {
     val s = mkState(2, 10, Vector(2, 0))
     s.assign(1L, 0); s.assign(2L, 0) // vertices 1,2 on partition 0 (sizes 4,0)
     val m = mkMatch(0.5, LEdge(1, "a", 2, "b"), LEdge(2, "b", 3, "a"))
-    val b0 = bid(s, 0, m)
+    val b0 = bid(s, 0, m, noNeighbours)
     // N(S0, m) = 2 (vertices 1,2), residual = 1 - 4/10, supp = 0.5
     assert(math.abs(b0 - 2 * 0.6 * 0.5) < 1e-9)
-    assert(bid(s, 1, m) == 0.0, "no shared vertices -> zero bid")
+    assert(bid(s, 1, m, noNeighbours) == 0.0, "no shared vertices -> zero bid")
   }
 
   test("bid goes negative above capacity (discourages overfull partitions)") {
     val s = mkState(1, 2, Vector(3))
     s.assign(1L, 0)
     val m = mkMatch(1.0, LEdge(1, "a", 2, "b"))
-    assert(bid(s, 0, m) < 0)
+    assert(bid(s, 0, m, noNeighbours) < 0)
   }
 
   // ---------- allocate (eq. 3) ----------
@@ -90,7 +93,7 @@ class EqualOpportunismSpec extends SparkSpec {
     s.assign(1L, 0); s.assign(2L, 0); s.assign(3L, 1) // sizes: 7 vs 9
     val e  = LEdge(1, "a", 2, "b")
     val m1 = mkMatch(1.0, e)
-    val out = allocate(s, Vector(m1))
+    val out = allocate(s, Vector(m1), noNeighbours)
     assert(out.winner == 0)
     assert(out.chosen == Vector(m1))
   }
@@ -98,7 +101,7 @@ class EqualOpportunismSpec extends SparkSpec {
   test("allocation falls back to the least-loaded partition when all bids are zero") {
     val s = mkState(3, 1000, Vector(4, 2, 7))
     val m = mkMatch(1.0, LEdge(50, "a", 51, "b"))
-    val out = allocate(s, Vector(m))
+    val out = allocate(s, Vector(m), noNeighbours)
     assert(out.winner == 1)
   }
 
@@ -107,7 +110,7 @@ class EqualOpportunismSpec extends SparkSpec {
     val e  = LEdge(1, "a", 2, "b")
     val hi = mkMatch(0.9, e)
     val lo = mkMatch(0.3, e, LEdge(2, "b", 3, "a"))
-    val out = allocate(s, Vector(lo, hi))
+    val out = allocate(s, Vector(lo, hi), noNeighbours)
     assert(out.chosen.head.support >= out.chosen.last.support)
     assert(out.chosen.head == hi)
   }
@@ -127,7 +130,7 @@ class EqualOpportunismSpec extends SparkSpec {
       mkMatch(0.5, e, LEdge(2, "b", 4, "a")),
       mkMatch(0.3, e, LEdge(2, "b", 5, "a")),
     )
-    val out = allocate(s, ms)
+    val out = allocate(s, ms, noNeighbours)
     assert(out.winner == 0)
     assert(out.chosen.size == 3, s"ration should truncate to 3, got ${out.chosen.size}")
     assert(out.chosen.map(_.support) == Vector(0.9, 0.7, 0.5))
@@ -137,12 +140,47 @@ class EqualOpportunismSpec extends SparkSpec {
     val s = mkState(2, 1000, Vector(10, 30)) // partition 1 over cap: l=0
     (1L to 2L).foreach(v => s.assign(v, 1))  // but match vertices are on 1
     val m  = mkMatch(1.0, LEdge(1, "a", 2, "b"))
-    val out = allocate(s, Vector(m))
+    val out = allocate(s, Vector(m), noNeighbours)
     assert(out.chosen.nonEmpty)
   }
 
   test("allocate rejects empty match lists") {
     val s = mkState(2, 1000, Vector(0, 0))
-    intercept[IllegalArgumentException] { allocate(s, Vector.empty) }
+    intercept[IllegalArgumentException] { allocate(s, Vector.empty, noNeighbours) }
+  }
+
+  test("zero bids: the cluster's LDG choice wins over least-loaded") {
+    // Partition 0 is larger, so it bids on only 3 of the 4 matches; vertex 5
+    // lies only in the fourth, and its two seen neighbours sit on partition 0.
+    // Every bid is zero, but the cluster's adjacency points to partition 0.
+    val s = mkState(2, 1000, Vector(11, 10))
+    val e = LEdge(1, "a", 2, "b")
+    val ms = Vector(
+      mkMatch(0.9, e),
+      mkMatch(0.7, e, LEdge(2, "b", 3, "a")),
+      mkMatch(0.5, e, LEdge(2, "b", 4, "a")),
+      mkMatch(0.3, e, LEdge(2, "b", 5, "a")),
+    )
+    val neighbourN: (VId, Int) => Int = (v, pid) => if (v == 5L && pid == 0) 2 else 0
+    val out = allocate(s, ms, neighbourN)
+    assert(out.fallback)
+    assert(s.leastLoaded == 1)
+    assert(out.winner == 0)
+    assert(out.chosen.map(_.support) == Vector(0.9, 0.7, 0.5))
+  }
+
+  test("tied positive totals: smaller partition, then lower index, wins") {
+    // Capacity 8: residual capacities 1/2 (size 4) and 3/4 (size 2), so 3 and
+    // 2 neighbours of vertex 50 give both partitions a total of exactly 1.5.
+    val m = mkMatch(1.0, LEdge(50, "a", 51, "b"))
+    val bySize = mkState(3, 8, Vector(4, 2, 3))
+    val n1: (VId, Int) => Int = (v, pid) => if (v == 50L) Vector(3, 2, 0)(pid) else 0
+    assert(bid(bySize, 0, m, n1) == bid(bySize, 1, m, n1))
+    assert(allocate(bySize, Vector(m), n1).winner == 1)
+    // Equal sizes and equal totals: the lower index wins.
+    val byIndex = mkState(3, 8, Vector(3, 2, 2))
+    val n2: (VId, Int) => Int = (v, pid) => if (v == 50L && pid > 0) 1 else 0
+    assert(bid(byIndex, 1, m, n2) == bid(byIndex, 2, m, n2))
+    assert(allocate(byIndex, Vector(m), n2).winner == 1)
   }
 }

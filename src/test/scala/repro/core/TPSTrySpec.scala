@@ -3,6 +3,8 @@ package repro.core
 import repro.SparkSpec
 import repro.core.Model._
 import repro.core.Signature._
+import repro.graphgen.Datasets
+import repro.workloads.Workloads
 
 /** TPSTry++ construction tests (paper §2.2, Fig. 2/3).
   *
@@ -13,6 +15,9 @@ class TPSTrySpec extends SparkSpec {
   import QueryGraph._
 
   private def coder() = new LabelCoder(DefaultP, 42L)
+
+  /** Full signature of a pattern. */
+  private def sigOf(q: QueryGraph)(implicit c: LabelCoder): Sig = ofSubGraph(q.toSubGraph)
 
   /** Brute-force support: total frequency of queries containing `g`. */
   private def bruteSupport(g: QueryGraph, w: Workload): Double =
@@ -31,8 +36,8 @@ class TPSTrySpec extends SparkSpec {
     val trie = new TPSTry
     trie.add(path("a", "b", "c"))
     val rootSigs = trie.root.children.map(_._2.sig).toSet
-    val ab = ofQueryGraph(singleEdge("a", "b"))
-    val bc = ofQueryGraph(singleEdge("b", "c"))
+    val ab = sigOf(singleEdge("a", "b"))
+    val bc = sigOf(singleEdge("b", "c"))
     assert(rootSigs == Set(ab, bc))
   }
 
@@ -49,7 +54,7 @@ class TPSTrySpec extends SparkSpec {
     val trie = new TPSTry
     val q1   = cycle("a", "b", "a", "b")
     trie.add(q1)
-    val cycleSig  = ofQueryGraph(q1)
+    val cycleSig  = sigOf(q1)
     val cycleNode = trie.node(cycleSig).get
     // Count trie nodes that link to the full cycle.
     val parents = trie.nodes.count(_.children.exists(_._2 eq cycleNode))
@@ -65,7 +70,7 @@ class TPSTrySpec extends SparkSpec {
     val trie = new TPSTry
     trie.add(path("a", "b", "c"), 1.0) // contains a-b
     trie.add(path("c", "b", "a"), 1.0) // same graph, reversed construction
-    val abNode = trie.node(ofQueryGraph(singleEdge("a", "b"))).get
+    val abNode = trie.node(sigOf(singleEdge("a", "b"))).get
     assert(abNode.support == 1.0, "both queries contain a-b: support = 2/2")
     assert(trie.nodes.size == 3, "reversed path adds no new nodes")
   }
@@ -75,7 +80,7 @@ class TPSTrySpec extends SparkSpec {
     val trie = new TPSTry
     // q1 has four a-b edges; the single-edge node a-b must have support 1, not 4.
     trie.add(cycle("a", "b", "a", "b"))
-    val abNode = trie.node(ofQueryGraph(singleEdge("a", "b"))).get
+    val abNode = trie.node(sigOf(singleEdge("a", "b"))).get
     assert(abNode.support == 1.0)
   }
 
@@ -124,9 +129,9 @@ class TPSTrySpec extends SparkSpec {
       assert(kept.contains(n.sig) == (n.support >= 0.4))
     }
     // a-b occurs in every query: support 1.0 -> motif at any threshold.
-    assert(kept.contains(ofQueryGraph(singleEdge("a", "b"))))
+    assert(kept.contains(sigOf(singleEdge("a", "b"))))
     // b-c occurs only in the second query: 1/5 of mass -> not a motif.
-    assert(!kept.contains(ofQueryGraph(singleEdge("b", "c"))))
+    assert(!kept.contains(sigOf(singleEdge("b", "c"))))
   }
 
   test("matchSingleEdge resolves stream edges to single-edge motifs") {
@@ -142,7 +147,7 @@ class TPSTrySpec extends SparkSpec {
     val w     = Workload(Vector(path("a", "b", "a") -> 1.0, singleEdge("a", "b") -> 1.0))
     val trie  = TPSTry.ofWorkload(w)
     val index = trie.motifIndex(0.4)
-    val abNode = trie.node(ofQueryGraph(singleEdge("a", "b"))).get
+    val abNode = trie.node(sigOf(singleEdge("a", "b"))).get
     // Adding a second a to the b endpoint: delta for a-b-a.
     val g     = SubGraph.of(LEdge(1, "a", 2, "b"))
     val delta = fac(LEdge(3, "a", 2, "b"), g)
@@ -157,7 +162,7 @@ class TPSTrySpec extends SparkSpec {
     implicit val c: LabelCoder = coder()
     val trie = new TPSTry
     trie.add(path("a", "b", "c"), 1.0)
-    val bc = trie.node(ofQueryGraph(singleEdge("b", "c"))).get
+    val bc = trie.node(sigOf(singleEdge("b", "c"))).get
     assert(bc.support == 1.0)
     trie.add(path("a", "b", "a"), 3.0)
     assert(math.abs(bc.support - 0.25) < 1e-12, "b-c now in 1 of 4 mass units")
@@ -181,5 +186,28 @@ class TPSTrySpec extends SparkSpec {
     // minus signature merges; just assert it stays small and finite.
     assert(trie.nodes.size <= 31)
     assert(trie.nodes.size >= 6)
+  }
+
+  test("fac along every connected edge order reaches each query's trie node") {
+    Datasets.queryable.foreach { d =>
+      implicit val c: LabelCoder = coder()
+      val w    = Workloads.forDataset(d.name)
+      val trie = TPSTry.ofWorkload(w)
+      w.queries.foreach { case (q, _) =>
+        val target = trie.node(sigOf(q))
+        assert(target.isDefined, s"${d.name}: no node for $q")
+        val orders = q.dataEdges.permutations.filter { es =>
+          es.indices.forall(i => SubGraph(es.take(i).toSet).incident(es(i)))
+        }.toVector
+        assert(orders.nonEmpty)
+        orders.foreach { es =>
+          // Alg. 2's walk: from the root, follow the delta each edge adds.
+          val (_, reached) = es.foldLeft((SubGraph.empty, Option(trie.root))) {
+            case ((g, n), e) => (g + e, n.flatMap(_.child(fac(e, g))))
+          }
+          assert(reached == target, s"${d.name}: order $es of $q")
+        }
+      }
+    }
   }
 }

@@ -12,22 +12,6 @@ class ExperimentsSpec extends SparkSpec {
   private val sf     = 0.005
   private val window = 50
 
-  // At this scale Spark's per-task overhead dominates: with the session's 64
-  // shuffle partitions this suite took 229 s on 4 cores, with 4 it took 90 s.
-  private val ShufflePartitions = "spark.sql.shuffle.partitions"
-  private var savedPartitions   = ""
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    savedPartitions = spark.conf.get(ShufflePartitions)
-    spark.conf.set(ShufflePartitions, "4")
-  }
-
-  override def afterAll(): Unit = {
-    spark.conf.set(ShufflePartitions, savedPartitions)
-    super.afterAll()
-  }
-
   test("table1 has one row per dataset") {
     val rows = Experiments.table1(spark, sf)
     assert(rows.map(_.dataset) == Datasets.all)
@@ -49,7 +33,10 @@ class ExperimentsSpec extends SparkSpec {
     assert(rows.forall { case (r, _) => r.k == 8 && r.window == window })
     val configs = Datasets.queryable.size * StreamOrder.all.size
     assert(Experiments.fig7Ratios(rows).size == configs)
-    assert(Experiments.formatFig7(rows).size == rows.size + configs + 3)
+    val table = Experiments.formatFig7(rows)
+    assert(table.size == rows.size + configs + 3)
+    assert(table.head.split(" +").toVector ==
+             Vector("Dataset", "Order", "System", "ipt%vsHash", "abs", "ipt", "imbalance"))
   }
 
   test("fig8 sweeps k over DBLP and LUBM-100 BFS streams") {
@@ -59,7 +46,9 @@ class ExperimentsSpec extends SparkSpec {
     assert(rows.map { case (r, _) => (r.dataset, r.k, r.system) } == keys)
     assert(rows.forall { case (r, _) => r.order == "bfs" && r.window == window })
     assert(Experiments.fig8Wins(rows).size == 10)
-    assert(Experiments.formatFig8(rows).size == rows.size + 2)
+    val table = Experiments.formatFig8(rows)
+    assert(table.size == rows.size + 2)
+    assert(table.head.split(" +").toVector == Vector("Dataset", "k", "System", "ipt%vsHash", "abs", "ipt"))
   }
 
   test("fig9 sweeps Loom's window over DBLP BFS and random streams") {

@@ -103,14 +103,6 @@ class GraphGenSpec extends SparkSpec {
     assert(degs.max > 5 * mean, s"max degree ${degs.max} vs mean $mean")
   }
 
-  test("vertices DataFrame covers the full id space with one label each") {
-    val d  = Datasets.provgen
-    val n  = 500L
-    val vs = SchemaGraphGen.vertices(spark, d.schema, n)
-    assert(vs.count() == n)
-    assert(vs.select("vid").distinct().count() == n)
-  }
-
   test("all five datasets generate non-empty graphs at tiny scale") {
     Datasets.all.foreach { d =>
       assert(d.generate(spark, 0.005).count() > 0, s"${d.name} empty")
