@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.Model._
+import scala.collection.immutable.ArraySeq
 import repro.partition.PartitionState
 
 /** The equal-opportunism allocation heuristic (paper §4, eqs. 1–3).
@@ -36,68 +36,126 @@ object EqualOpportunism {
     else (sMin.toDouble / si) * Alpha
   }
 
-  /** bid(S_i, ⟨E_k, m_k⟩) = N(S_i, E_k) · (1 − |V(S_i)|/C) · supp(m_k)
-    * (paper eq. 1). Per footnote 8, N generalises **LDG's** N — which counts
-    * incident edges in a partition — to sub-graphs: N(S_i, E_k) is the number
-    * of edges between E_k's vertices and vertices already assigned to S_i
-    * (`neighbourN(v, i)`, v's seen neighbours in S_i), plus the membership
-    * count |V(S_i) ∩ V(E_k)|.
+  /** The motif matches of one eviction, as equal opportunism reads them:
+    * match i has a support, a size in edges, and `vertexCount(i)` vertices,
+    * given as dense ids of the [[PartitionState]] it is allocated against.
     */
-  def bid(state: PartitionState, pid: Int, m: MotifMatch,
-          neighbourN: (VId, Int) => Int): Double = {
-    var n = 0.0
-    m.vertices.foreach { v =>
-      if (state.partitionOf(v).contains(pid)) n += 1
-      n += neighbourN(v, pid)
-    }
-    n * (1.0 - state.size(pid) / state.capacity) * m.support
+  trait Matches {
+    def count: Int
+    def support(i: Int): Double
+    def size(i: Int): Int
+    def vertexCount(i: Int): Int
+    def vertex(i: Int, j: Int): Int
   }
 
-  /** Outcome of an allocation round. `fallback` is true when every total
-    * bid was ≤ 0 and the cluster's LDG choice won.
+  /** bid(S_i, ⟨E_k, m_k⟩) = N(S_i, E_k) · (1 − |V(S_i)|/C) · supp(m_k)
+    * (paper eq. 1) for match i of `ms`. Per footnote 8, N generalises
+    * **LDG's** N — which counts incident edges in a partition — to
+    * sub-graphs: N(S_i, E_k) is the number of edges between E_k's vertices
+    * and vertices already assigned to S_i (`neighbourN(v, i)`, v's seen
+    * neighbours in S_i), plus the membership count |V(S_i) ∩ V(E_k)|.
     */
-  final case class Allocation(winner: Int, chosen: Vector[MotifMatch],
-                              fallback: Boolean)
+  def bid(state: PartitionState, pid: Int, ms: Matches, i: Int,
+          neighbourN: (Int, Int) => Int): Double = {
+    var n = 0.0
+    var j = 0
+    while (j < ms.vertexCount(i)) {
+      val v = ms.vertex(i, j)
+      if (state.partOfId(v) == pid) n += 1
+      n += neighbourN(v, pid)
+      j += 1
+    }
+    n * (1.0 - state.size(pid) / state.capacity) * ms.support(i)
+  }
+
+  /** Outcome of an allocation round: the winning partition, the indices of
+    * the chosen matches (a prefix of the support order), and whether every
+    * total bid was ≤ 0 so that the cluster's LDG choice won.
+    */
+  final case class Allocation(winner: Int, chosen: IndexedSeq[Int], fallback: Boolean)
 
   /** Run equal opportunism for the eviction of edge e with its motif matches
-    * `matches` (all of which contain e); `neighbourN(v, i)` counts v's seen
+    * `ms` (all of which contain e); `neighbourN(v, i)` counts v's seen
     * neighbours in partition i. Matches are sorted by descending support
-    * (smaller matches first on ties — ancestors dominate). The winner is the
-    * open partition with the highest total bid over its rationed prefix.
-    * If every total is ≤ 0 (e.g. no match vertex is assigned yet), the
-    * winner is the cluster's LDG choice: the open partition maximising
-    * Σ_v neighbourN(v, i) · (1 − |V(S_i)|/C) over all the matches' vertices,
-    * whose adjacency into the partitioned graph still carries signal. Both
-    * choices are [[PartitionState.bestOpen]], so ties go to the smaller
-    * partition, then to the lower index, and a state with every partition
-    * full falls back to the least-loaded one. The winner receives its own
-    * rationed prefix; at least one match is always chosen so the evicted
-    * edge itself is always placed.
+    * (smaller matches first on ties — ancestors dominate — then in the
+    * order of `ms`). The winner is the open partition with the highest total
+    * bid over its rationed prefix. If every total is ≤ 0 (e.g. no match
+    * vertex is assigned yet), the winner is the cluster's LDG choice: the
+    * open partition maximising Σ_v neighbourN(v, i) · (1 − |V(S_i)|/C) over
+    * all the matches' vertices, whose adjacency into the partitioned graph
+    * still carries signal. Both choices are [[PartitionState.bestOpen]], so
+    * ties go to the smaller partition, then to the lower index, and a state
+    * with every partition full falls back to the least-loaded one. The
+    * winner receives its own rationed prefix; at least one match is always
+    * chosen so the evicted edge itself is always placed.
     */
-  def allocate(state: PartitionState, matches: Vector[MotifMatch],
-               neighbourN: (VId, Int) => Int): Allocation = {
-    require(matches.nonEmpty, "allocate requires at least one match")
-    val sorted = matches.sortBy(m => (-m.support, m.size))
+  def allocate(state: PartitionState, ms: Matches,
+               neighbourN: (Int, Int) => Int): Allocation = {
+    require(ms.count > 0, "allocate requires at least one match")
+    val sorted = supportOrder(ms)
 
     def prefixLen(pid: Int): Int = {
       val l = ration(state, pid)
       if (l <= 0) 0
-      else math.min(sorted.size, math.ceil(l * sorted.size).toInt)
+      else math.min(sorted.length, math.ceil(l * sorted.length).toInt)
     }
 
-    def totalBid(pid: Int): Double =
-      sorted.take(prefixLen(pid)).map(bid(state, pid, _, neighbourN)).sum
-
-    val totals   = Vector.tabulate(state.k)(totalBid)
-    val best     = state.bestOpen(totals)
+    val totals = new Array[Double](state.k)
+    var pid    = 0
+    while (pid < state.k) {
+      val n = prefixLen(pid)
+      var j = 0
+      while (j < n) { totals(pid) += bid(state, pid, ms, sorted(j), neighbourN); j += 1 }
+      pid += 1
+    }
+    val best     = state.bestOpen(totals(_))
     val fallback = totals(best) <= 0
     val winner   =
       if (!fallback) best
       else {
-        val verts = sorted.iterator.flatMap(_.vertices).toSet
-        state.bestOpen(i =>
-          verts.iterator.map(neighbourN(_, i)).sum * (1.0 - state.size(i) / state.capacity))
+        val verts = clusterVertices(ms)
+        state.bestOpen { i =>
+          var n = 0
+          verts.foreach(v => n += neighbourN(v, i))
+          n * (1.0 - state.size(i) / state.capacity)
+        }
       }
-    Allocation(winner, sorted.take(math.max(1, prefixLen(winner))), fallback)
+    Allocation(winner, ArraySeq.unsafeWrapArray(sorted.take(math.max(1, prefixLen(winner)))), fallback)
+  }
+
+  /** Indices of `ms`, stably sorted by descending support, then ascending
+    * size (merge sort: hub evictions can carry many matches).
+    */
+  private def supportOrder(ms: Matches): Array[Int] = {
+    val a   = Array.range(0, ms.count)
+    val tmp = new Array[Int](a.length)
+    def before(x: Int, y: Int): Boolean = {
+      val sx = ms.support(x)
+      val sy = ms.support(y)
+      sx > sy || (sx == sy && ms.size(x) < ms.size(y))
+    }
+    def sort(lo: Int, hi: Int): Unit = if (hi - lo > 1) {
+      val mid = (lo + hi) >>> 1
+      sort(lo, mid)
+      sort(mid, hi)
+      var i = lo
+      var j = mid
+      var k = lo
+      while (k < hi) {
+        if (j >= hi || (i < mid && !before(a(j), a(i)))) { tmp(k) = a(i); i += 1 }
+        else { tmp(k) = a(j); j += 1 }
+        k += 1
+      }
+      System.arraycopy(tmp, lo, a, lo, hi - lo)
+    }
+    sort(0, a.length)
+    a
+  }
+
+  /** The distinct vertices of all matches in `ms`. */
+  private def clusterVertices(ms: Matches): Array[Int] = {
+    val vs = Array.newBuilder[Int]
+    for (i <- 0 until ms.count; j <- 0 until ms.vertexCount(i)) vs += ms.vertex(i, j)
+    vs.result().distinct
   }
 }

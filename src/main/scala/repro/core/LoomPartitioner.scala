@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.Model._
-import repro.partition.{AdjacencyTracker, LdgPartitioner, PartitionState, StreamingPartitioner}
+import repro.partition.{AdjacencyTracker, IntBuffer, LdgPartitioner, PartitionState, StreamingPartitioner}
 
 /** Loom: the paper's workload-aware streaming partitioner (§1.4, §3, §4).
   *
@@ -29,17 +29,22 @@ final class LoomPartitioner(
   override val state = new PartitionState(
     k, capacity = math.max(1.0, LoomPartitioner.CapacitySlack * nExpected.toDouble / k))
 
-  val matcher = new MotifMatcher(motifs)
+  val matcher = new MotifMatcher(motifs, state.ids)
 
   private val adjacency = new AdjacencyTracker
   // Unassigned motif-label vertices first seen on non-motif edges, in
-  // first-seen order (placed at eviction via their matches, or at finish()).
-  private val deferred = scala.collection.mutable.LinkedHashSet.empty[VId]
+  // first-seen order (placed at eviction via their matches, or at finish()),
+  // with a membership flag per dense id.
+  private val deferred   = new IntBuffer
+  private var isDeferred = Array.emptyBooleanArray
 
-  private def deferOrPlace(v: VId, label: String): Unit =
-    if (!state.isAssigned(v)) {
-      if (motifs.motifLabels.contains(label)) deferred += v
-      else ldgPlace(v)
+  private def deferOrPlace(v: Int, label: Int): Unit =
+    if (!state.isAssignedId(v)) {
+      if (motifs.isMotifLabel(label)) {
+        if (v >= isDeferred.length)
+          isDeferred = java.util.Arrays.copyOf(isDeferred, math.max(2 * isDeferred.length, v + 1))
+        if (!isDeferred(v)) { isDeferred(v) = true; deferred += v }
+      } else ldgPlace(v)
     }
 
   /** Count of eviction rounds run (exposed for tests/benches). */
@@ -55,24 +60,29 @@ final class LoomPartitioner(
   var eoVertices: Long = 0L
 
   override def add(e: LEdge): Unit = {
-    adjacency.add(e)
-    matcher.singleEdgeMotif(e) match {
-      case None =>
-        // Never part of any motif match: the edge is accounted immediately
-        // (§3) and does not displace the window. In a vertex-centric
-        // partitioning, though, it must not *pre-empt* the placement of an
-        // endpoint whose label can still join motif matches (e.g. a Paper
-        // first seen on a citation edge, whose authorship edges are yet to
-        // stream in): such endpoints are deferred — equal opportunism will
-        // place them when their matches evict, or finish() falls back to
-        // LDG with full adjacency. Labels outside every motif are placed
-        // with LDG right away, as in the paper.
-        ldgEdges += 1
-        deferOrPlace(e.u, e.uLabel)
-        deferOrPlace(e.v, e.vLabel)
-      case Some(node) =>
-        if (matcher.windowSize >= windowCapacity) evictOldest()
-        matcher.insert(e, node)
+    val u = state.ids.id(e.u)
+    val v = state.ids.id(e.v)
+    adjacency.add(u, v)
+    // Interning registers a new label with the coder, u's before v's.
+    val lu   = motifs.label(e.uLabel)
+    val lv   = motifs.label(e.vLabel)
+    val node = motifs.singleEdge(lu, lv)
+    if (node < 0) {
+      // Never part of any motif match: the edge is accounted immediately
+      // (§3) and does not displace the window. In a vertex-centric
+      // partitioning, though, it must not *pre-empt* the placement of an
+      // endpoint whose label can still join motif matches (e.g. a Paper
+      // first seen on a citation edge, whose authorship edges are yet to
+      // stream in): such endpoints are deferred — equal opportunism will
+      // place them when their matches evict, or finish() falls back to
+      // LDG with full adjacency. Labels outside every motif are placed
+      // with LDG right away, as in the paper.
+      ldgEdges += 1
+      deferOrPlace(u, lu)
+      deferOrPlace(v, lv)
+    } else {
+      if (matcher.windowSize >= windowCapacity) evictOldest()
+      matcher.insert(u, lu, v, lv, node)
     }
   }
 
@@ -80,41 +90,70 @@ final class LoomPartitioner(
     while (matcher.windowSize > 0) evictOldest()
     // Deferred vertices whose motif edges never materialised: LDG placement
     // with the full adjacency seen over the stream.
-    deferred.foreach(ldgPlace)
+    for (i <- 0 until deferred.size) ldgPlace(deferred(i))
     deferred.clear()
+    isDeferred = Array.emptyBooleanArray
   }
+
+  // Per-eviction memo of LDG-style neighbour counts for the cluster's
+  // vertices (matches overlap heavily; compute each vertex once): vertex v's
+  // counts sit at memo(memoSlot(v) * k) while memoRound(v) is this round.
+  private var round     = 0
+  private var memoRound = Array.emptyIntArray
+  private var memoSlot  = Array.emptyIntArray
+  private var memo      = new Array[Int](16 * k)
+  private var memoUsed  = 0
+
+  private val neighbourN: (Int, Int) => Int = (v, pid) => {
+    if (v >= memoRound.length) {
+      val n = math.max(2 * memoRound.length, v + 1)
+      memoRound = java.util.Arrays.copyOf(memoRound, n)
+      memoSlot = java.util.Arrays.copyOf(memoSlot, n)
+    }
+    if (memoRound(v) != round) {
+      if ((memoUsed + 1) * k > memo.length) memo = java.util.Arrays.copyOf(memo, 2 * memo.length)
+      System.arraycopy(adjacency.neighbourCounts(v, state), 0, memo, memoUsed * k, k)
+      memoRound(v) = round
+      memoSlot(v) = memoUsed
+      memoUsed += 1
+    }
+    memo(memoSlot(v) * k + pid)
+  }
+
+  private val chosenEdges = new IntBuffer
 
   /** Evict the oldest window edge via equal opportunism (§4). */
   private def evictOldest(): Unit = {
-    val eOld = matcher.oldestEdge.getOrElse(return)
+    val eOld = matcher.oldest
+    if (eOld < 0) return
     evictions += 1
-    val mE = matcher.matchesContaining(eOld)
-    if (mE.isEmpty) {
+    val mE = matcher.containing(eOld)
+    if (mE.count == 0) {
       // Defensive: cannot happen (the single-edge match lives as long as the
       // edge) but never leave the window stuck.
-      ldgPlace(eOld.u); ldgPlace(eOld.v)
-      matcher.removeEdges(Set(eOld))
+      ldgPlace(matcher.edgeU(eOld)); ldgPlace(matcher.edgeV(eOld))
+      matcher.removeEdge(eOld)
       return
     }
-    // Per-eviction memo of LDG-style neighbour counts for the cluster's
-    // vertices (matches overlap heavily; compute each vertex once).
-    val nMemo = scala.collection.mutable.Map.empty[VId, Array[Int]]
-    def neighbourN(v: VId, pid: Int): Int =
-      nMemo.getOrElseUpdate(v, adjacency.neighbourCounts(v, state))(pid)
+    round += 1
+    memoUsed = 0
     val alloc = EqualOpportunism.allocate(state, mE, neighbourN)
     if (alloc.fallback) zeroBidEvictions += 1
-    val assignedEdges = alloc.chosen.iterator.flatMap(_.edges).toSet
-    val assignedVerts = alloc.chosen.iterator.flatMap(_.vertices).toSet
-    assignedVerts.foreach { v =>
-      if (!state.isAssigned(v)) { state.assign(v, alloc.winner); eoVertices += 1 }
+    chosenEdges.clear()
+    alloc.chosen.foreach { i =>
+      for (j <- 0 until mE.vertexCount(i)) {
+        val v = mE.vertex(i, j)
+        if (!state.isAssignedId(v)) { state.assignId(v, alloc.winner); eoVertices += 1 }
+      }
+      for (j <- 0 until mE.size(i)) chosenEdges += mE.edge(i, j)
     }
     // Matches not chosen are dropped implicitly: they all contain eOld,
     // which leaves the window now.
-    matcher.removeEdges(assignedEdges)
+    for (j <- 0 until chosenEdges.size) matcher.removeEdge(chosenEdges(j))
   }
 
   /** LDG placement for a single vertex (used for non-motif edges, §4). */
-  private def ldgPlace(v: VId): Unit = LdgPartitioner.place(state, adjacency, v)
+  private def ldgPlace(v: Int): Unit = LdgPartitioner.place(state, adjacency, v)
 }
 
 object LoomPartitioner {

@@ -22,16 +22,6 @@ object Model {
     /** Endpoints as a pair, smaller id first (canonical form). */
     def canonical: (VId, VId) = if (u <= v) (u, v) else (v, u)
 
-    /** Label of endpoint `x`, which must be `u` or `v`. */
-    def labelOf(x: VId): String =
-      if (x == u) uLabel
-      else if (x == v) vLabel
-      else throw new IllegalArgumentException(s"$x is not an endpoint of $this")
-
-    /** True if this edge shares at least one endpoint with `other`. */
-    def touches(other: LEdge): Boolean =
-      u == other.u || u == other.v || v == other.u || v == other.v
-
     /** True if `x` is one of this edge's endpoints. */
     def contains(x: VId): Boolean = x == u || x == v
   }
@@ -112,15 +102,13 @@ object Model {
 
     /** Sum of all query frequencies. */
     def totalFrequency: Double = queries.map(_._2).sum
-
-    /** Largest query size in edges (bounds signature sizes, paper §2.3). */
-    def maxQueryEdges: Int = queries.map(_._1.numEdges).max
   }
 
   /** A concrete sub-graph of the data graph: a set of labelled edges.
     *
-    * Utility wrapper used by the motif matcher; kept tiny because matches are
-    * bounded by the largest motif (order of 10 edges).
+    * Used to build the trie and to sign and check sub-graphs (the stream
+    * matcher works on primitive ids instead); kept tiny because sub-graphs
+    * are bounded by the largest query (order of 10 edges).
     */
   final case class SubGraph(edges: Set[LEdge]) {
     /** All vertex ids appearing in this sub-graph. */
@@ -136,13 +124,12 @@ object Model {
         case e if e.v == x => e.vLabel
       }.getOrElse(throw new IllegalArgumentException(s"vertex $x not in sub-graph"))
 
-    def size: Int                     = edges.size
-    def contains(e: LEdge): Boolean   = edges.contains(e)
-    def containsVertex(x: VId): Boolean = vertices.contains(x)
+    def size: Int                   = edges.size
+    def contains(e: LEdge): Boolean = edges.contains(e)
 
     /** True if edge e shares a vertex with this sub-graph (or the graph is empty). */
     def incident(e: LEdge): Boolean =
-      edges.isEmpty || containsVertex(e.u) || containsVertex(e.v)
+      edges.isEmpty || vertices.contains(e.u) || vertices.contains(e.v)
 
     def +(e: LEdge): SubGraph = SubGraph(edges + e)
 

@@ -1,182 +1,523 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.core.Model._
-import repro.core.Signature._
+import repro.partition.{IntBuffer, IntLists, LongIntMap, VertexIds}
 
-/** A motif-matching sub-graph currently inside the stream window: a set of
-  * window edges plus the TPSTry++ node (motif) it matches.
-  *
-  * Identity is an interned id, not structural: matches live in many hash
-  * collections on the matcher's hot path and structural hashing would
-  * re-hash the whole edge set on every operation. The matcher deduplicates
-  * structurally via its own edge-set index, so two live instances never
-  * share an edge set.
+/** A motif match as the matcher's decoded views return it: its window
+  * edges in insertion order and the TPSTry++ node (motif) it matches. `id`
+  * is the match's registration number within its matcher.
   */
-final class MotifMatch private (val id: Long, val sub: SubGraph, val node: TPSTry#Node) {
-  def edges: Set[LEdge]    = sub.edges
-  lazy val vertices: Set[VId] = sub.vertices
-  def support: Double      = node.support
-  def size: Int            = sub.size
-
-  override def hashCode: Int = java.lang.Long.hashCode(id)
-  override def equals(o: Any): Boolean = o match {
-    case m: MotifMatch => m.id == id
-    case _             => false
-  }
-  override def toString: String = s"MotifMatch#$id(${sub.edges}, ${node})"
-}
-
-object MotifMatch {
-  private val counter = new java.util.concurrent.atomic.AtomicLong(0L)
-  def apply(sub: SubGraph, node: TPSTry#Node): MotifMatch =
-    new MotifMatch(counter.incrementAndGet(), sub, node)
+final case class MotifMatch(id: Int, edges: Vector[LEdge], node: TPSTry#Node) {
+  def size: Int             = edges.size
+  def support: Double       = node.support
+  def vertices: Vector[VId] = edges.flatMap(e => Vector(e.u, e.v)).distinct
 }
 
 /** Graph-stream motif matcher (paper §3, Alg. 2).
   *
-  * Maintains the sliding window P_temp and the matchList: a map from vertex
-  * ids to the motif-matching sub-graphs in the window containing them. Each
-  * time a motif-compatible edge enters the window, existing matches are grown
-  * by the new edge, and pairs of matches meeting at the edge's endpoints are
-  * joined — both purely via factor deltas against the (motif-filtered)
-  * TPSTry++, never via explicit isomorphism tests.
+  * Maintains the sliding window P_temp and the motif-matching sub-graphs in
+  * it. Each time a motif-compatible edge enters the window, existing matches
+  * are grown by the new edge, and pairs of matches meeting at the edge's
+  * endpoints are joined — both purely via factor deltas against the
+  * (motif-filtered) TPSTry++, never via explicit isomorphism tests.
   *
-  * Performance notes: growth and joining only ever consult matches that are
-  * still below the largest motif size (a maxed-out match can neither grow
-  * nor absorb another), so those are indexed separately per vertex; and the
-  * join step pairs only matches containing the new edge with the rest —
-  * pairs of two pre-existing matches were joinable before the edge arrived
-  * and were handled then. Both bounds matter at hub vertices, where the
-  * number of (genuine) overlapping matches grows quadratically in the
-  * in-window degree.
+  * Growth and joining only ever consult matches that are still below the
+  * largest motif size (a maxed-out match can neither grow nor absorb
+  * another), so those are indexed separately per vertex; and the join step
+  * pairs only matches containing the new edge with the rest — pairs of two
+  * pre-existing matches were joinable before the edge arrived and were
+  * handled then.
+  *
+  * '''Representation.''' Everything is a primitive id:
+  *   - vertices are the dense ids of [[vertexIds]], labels the interned ids
+  *     of [[MotifIndex.label]], motif nodes the ids of [[MotifIndex]];
+  *   - an edge id is the edge's arrival number; the window is a ring of edge
+  *     ids, oldest first, whose removed entries are skipped lazily;
+  *   - a match is a block of ints in a ring indexed by match id (its
+  *     registration number): its node, its edge ids in insertion order, and
+  *     its vertices with their degrees in the match, so a factor delta costs
+  *     O(match size) and allocates nothing;
+  *   - live matches are deduplicated by their edge-id set, through a hash
+  *     of the set and a chain of the matches sharing it;
+  *   - each window edge lists the matches containing it, and each vertex its
+  *     growable matches, both in registration order; a removed match stays
+  *     in these lists until a scan or a full list drops it.
+  *
+  * '''Orders.''' Loom's partitioning depends on four orders, which this
+  * representation keeps: [[containing]] returns matches in registration
+  * order; growth and joining visit u's growable matches, then those of v
+  * not at u, each in registration order; a join adds the smaller match's
+  * edges in its insertion order; and a match's edges keep the order in which
+  * they were added.
   */
-final class MotifMatcher(val motifs: MotifIndex) {
+final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new VertexIds) {
 
-  private implicit val coder: LabelCoder = motifs.trie.coder
+  private val maxE = motifs.maxMotifEdges
+  require(maxE <= 30, s"motifs of up to 30 edges are supported, got $maxE")
+  private val maxV = maxE + 1
 
-  // Window edges in arrival order (LinkedHashMap preserves insertion order).
-  private val window = mutable.LinkedHashMap.empty[LEdge, Unit]
-  // All live matches, deduplicated by their edge set.
-  private val allMatches = mutable.Map.empty[Set[LEdge], MotifMatch]
-  // matchList: vertex -> matches containing it.
-  private val matchList = mutable.Map.empty[VId, mutable.LinkedHashSet[MotifMatch]]
-  // Sub-index of matchList: only matches that can still grow (size < max).
-  private val growable = mutable.Map.empty[VId, mutable.LinkedHashSet[MotifMatch]]
+  // Match block layout (in the match ring and in the scratch levels): live
+  // flag, motif node, edge and vertex counts, the next older match whose
+  // edge set has the same hash (or -1), then edges, vertices and degrees.
+  private val Live   = 0
+  private val Node   = 1
+  private val NE     = 2
+  private val NV     = 3
+  private val Next   = 4
+  private val Edges  = 5
+  private val Verts  = Edges + maxE
+  private val Degs   = Verts + maxV
+  private val stride = Degs + maxV
 
-  private val maxMotifEdges = motifs.maxMotifEdges
+  // Edge block layout: endpoints, labels, whether still in the window, the
+  // next older window edge with the same endpoints (or -1), and the match
+  // count when it arrived. The ring's list of an edge holds the matches
+  // containing it.
+  private val EU = 0; private val EV = 1; private val ELu = 2; private val ELv = 3
+  private val ELive = 4; private val ESame = 5; private val EFirst = 6
 
-  def windowSize: Int                  = window.size
-  def windowEdges: Vector[LEdge]       = window.keys.toVector
-  def oldestEdge: Option[LEdge]        = window.headOption.map(_._1)
-  def matchCount: Int                  = allMatches.size
-  def matchesAt(v: VId): Vector[MotifMatch] =
-    matchList.get(v).map(_.toVector).getOrElse(Vector.empty)
+  private val edges     = new Ring(7)
+  private var head      = 0 // oldest window edge; every edge below it is gone
+  private var nextEdge  = 0
+  private var liveEdges = 0
+  // (u, v) in arrival orientation -> newest window edge with those endpoints.
+  private val byEndpoints = new LongIntMap
 
-  /** All live matches that contain edge e. */
-  def matchesContaining(e: LEdge): Vector[MotifMatch] =
-    (matchesAt(e.u) ++ matchesAt(e.v)).distinct.filter(_.edges.contains(e))
+  private val matches     = new Ring(stride)
+  private var lowMatch    = 0 // every live match id is at least this
+  private var nextMatch   = 0
+  private var liveMatches = 0
 
-  /** Check whether a lone stream edge matches a single-edge motif. If not,
-    * the caller assigns it immediately and never adds it to the window.
-    */
-  def singleEdgeMotif(e: LEdge): Option[TPSTry#Node] = motifs.matchSingleEdge(e)
+  // Hash of a live match's edge set -> newest live match with that hash.
+  private val bySet = new LongIntMap
 
-  /** Insert a motif-compatible edge into the window, discovering all new
-    * motif matches it creates (Alg. 2). `singleNode` must be the node
-    * returned by [[singleEdgeMotif]] for e.
+  private val growable = new IntLists
+
+  // Scratch: match blocks under construction (level d of a join's growth),
+  // growable matches at an edge's endpoints, those containing the edge, and
+  // the edges a join still has to add.
+  private val level = new Array[Int]((maxE + 2) * stride)
+  private val all   = new IntBuffer
+  private val withE = new IntBuffer
+  private val rem   = new Array[Int](math.max(1, maxE))
+
+  private val alive: Int => Boolean = id => id >= lowMatch && matches.data(matches.at(id) + Live) == 1
+  private val matchNext: Int => Int   = id => matches.data(matches.at(id) + Next)
+  private val edgeNext: Int => Int    = e => edges.data(edges.at(e) + ESame)
+  private val edgeLive: Int => Boolean =
+    e => e >= head && e < nextEdge && edges.data(edges.at(e) + ELive) == 1
+
+  def windowSize: Int = liveEdges
+  def matchCount: Int = liveMatches
+
+  /** The oldest window edge's id, or -1 if the window is empty. */
+  def oldest: Int = if (liveEdges == 0) -1 else head
+
+  /** Dense endpoint ids of window edge `e`. */
+  def edgeU(e: Int): Int = edges.data(edges.at(e) + EU)
+  def edgeV(e: Int): Int = edges.data(edges.at(e) + EV)
+
+  /** Insert a motif-compatible edge (dense endpoints `u`, `v` with label
+    * ids `lu`, `lv`) into the window, discovering all new motif matches it
+    * creates (Alg. 2). `node` is the single-edge motif of its label pair
+    * ([[MotifIndex.singleEdge]]). An edge already in the window with the same
+    * endpoints and labels in the same orientation is rejected.
     *
     * Returns the number of matches added.
     */
-  def insert(e: LEdge, singleNode: TPSTry#Node): Int = {
-    require(!window.contains(e), s"duplicate stream edge $e")
-    window(e) = ()
+  def insert(u: Int, lu: Int, v: Int, lv: Int, node: Int): Int = {
+    val key = (u.toLong << 32) | v
+    var j   = byEndpoints.get(key)
+    while (j >= head) {
+      val b = edges.at(j)
+      require(!(edges.data(b + ELive) == 1 && edges.data(b + ELu) == lu && edges.data(b + ELv) == lv),
+              s"duplicate stream edge ${decodeEdge(j)}")
+      j = edgeNext(j)
+    }
+    val e = nextEdge
+    edges.reserve(head, e)
+    val b = edges.at(e)
+    val d = edges.data
+    d(b + EU) = u; d(b + EV) = v; d(b + ELu) = lu; d(b + ELv) = lv
+    d(b + ELive) = 1; d(b + ESame) = byEndpoints.get(key); d(b + EFirst) = nextMatch
+    edges.lists.clear(e & edges.mask)
+    byEndpoints.put(key, e)
+    nextEdge += 1
+    liveEdges += 1
+
     var added = 0
-    if (register(MotifMatch(SubGraph.of(e), singleNode))) added += 1
+    level(Live) = 1; level(Node) = -1; level(NE) = 0; level(NV) = 0
+    extend(level, 0, 0, e, node)
+    if (register(0)) added += 1
 
     // Grow existing (growable) matches at e's endpoints by the single edge e.
-    val existing = growableAt(e.u, e.v).filterNot(_.edges.contains(e))
-    for (m <- existing) {
-      val delta = fac(e, m.sub)
-      motifs.motifChild(m.node, delta).foreach { c =>
-        if (register(MotifMatch(m.sub + e, c))) added += 1
+    collectGrowable(u, v)
+    var i = 0
+    while (i < all.size) {
+      val mb = matches.at(all(i))
+      if (!hasEdge(matches.data, mb, e)) {
+        val c = motifs.child(matches.data(mb + Node), facOf(matches.data, mb, e))
+        if (c >= 0) {
+          extend(matches.data, mb, 0, e, c)
+          if (register(0)) added += 1
+        }
       }
+      i += 1
     }
 
     // Join pairs of matches meeting at e: grow the larger by the smaller's
     // edges, following motif links in the trie (Alg. 2 lines 11–18). Any
     // match that is new at this step must contain e — pairs of two pre-
     // existing matches were joinable when their own last edge arrived.
-    val withE = growableAt(e.u, e.v).filter(_.edges.contains(e))
-    val all   = growableAt(e.u, e.v)
-    for (m1 <- withE; m2 <- all if m1 != m2) {
-      val (big, small) = if (m1.size >= m2.size) (m1, m2) else (m2, m1)
-      val remaining    = small.edges -- big.edges
-      if (remaining.nonEmpty && big.size + remaining.size <= maxMotifEdges)
-        added += grow(big, remaining)
+    collectGrowable(u, v)
+    withE.clear()
+    i = 0
+    while (i < all.size) {
+      if (hasEdge(matches.data, matches.at(all(i)), e)) withE += all(i)
+      i += 1
+    }
+    i = 0
+    while (i < withE.size) {
+      var k = 0
+      while (k < all.size) {
+        val m1 = withE(i)
+        val m2 = all(k)
+        if (m1 != m2) {
+          val big   = if (size(m1) >= size(m2)) m1 else m2
+          val small = if (big == m1) m2 else m1
+          val sb    = matches.at(small)
+          val bb    = matches.at(big)
+          var n     = 0
+          var x     = 0
+          while (x < matches.data(sb + NE)) {
+            val ex = matches.data(sb + Edges + x)
+            if (!hasEdge(matches.data, bb, ex)) { rem(n) = ex; n += 1 }
+            x += 1
+          }
+          if (n > 0 && size(big) + n <= maxE) {
+            System.arraycopy(matches.data, bb, level, stride, stride)
+            added += grow(1, n, 0)
+          }
+        }
+        k += 1
+      }
+      i += 1
     }
     added
   }
 
-  /** Recursively add `remaining` edges to `cur`, registering every motif
-    * match found along the way (intermediate matches are genuine matches —
-    * each step followed a motif link).
+  private def size(m: Int): Int = matches.data(matches.at(m) + NE)
+
+  /** Add the unused edges of `rem(0 until n)` one at a time to the match at
+    * level `d`, registering every motif match found along the way
+    * (intermediate matches are genuine matches — each step followed a motif
+    * link). `used` has bit i set once rem(i) is in the match.
     */
-  private def grow(cur: MotifMatch, remaining: Set[LEdge]): Int = {
+  private def grow(d: Int, n: Int, used: Int): Int = {
     var added = 0
-    for (e2 <- remaining if cur.size < maxMotifEdges && cur.sub.incident(e2)) {
-      val delta = fac(e2, cur.sub)
-      motifs.motifChild(cur.node, delta).foreach { c =>
-        val next  = MotifMatch(cur.sub + e2, c)
-        val fresh = register(next)
-        if (fresh) added += 1
-        // Recurse even on a duplicate: a different `remaining` may extend it.
-        added += grow(next, remaining - e2)
+    val off   = d * stride
+    var i     = 0
+    while (i < n) {
+      if ((used & (1 << i)) == 0) {
+        val e2 = rem(i)
+        if (level(off + NE) < maxE && incident(level, off, e2)) {
+          val c = motifs.child(level(off + Node), facOf(level, off, e2))
+          if (c >= 0) {
+            extend(level, off, d + 1, e2, c)
+            if (register(d + 1)) added += 1
+            // Recurse even on a duplicate: a different `rem` may extend it.
+            added += grow(d + 1, n, used | (1 << i))
+          }
+        }
       }
+      i += 1
     }
     added
   }
 
-  /** Remove a set of edges from the window (they have been assigned to
-    * permanent partitions); every match referencing a removed edge is
-    * dropped from the matchList.
-    */
-  def removeEdges(es: Set[LEdge]): Unit = {
-    es.foreach(window.remove)
-    val doomed = es.iterator
-      .flatMap(e => matchesAt(e.u) ++ matchesAt(e.v))
-      .filter(m => m.edges.exists(es))
-      .toVector.distinct
-    doomed.foreach { m =>
-      allMatches.remove(m.edges)
-      m.vertices.foreach { v =>
-        matchList.get(v).foreach { set =>
-          set.remove(m)
-          if (set.isEmpty) matchList.remove(v)
-        }
-        growable.get(v).foreach { set =>
-          set.remove(m)
-          if (set.isEmpty) growable.remove(v)
-        }
-      }
+  // ---- match blocks ----
+
+  private def hasEdge(a: Array[Int], off: Int, e: Int): Boolean = {
+    var j = 0
+    while (j < a(off + NE) && a(off + Edges + j) != e) j += 1
+    j < a(off + NE)
+  }
+
+  /** Degree of dense vertex x in the match block at `off` (0 if absent). */
+  private def degree(a: Array[Int], off: Int, x: Int): Int = {
+    var j = 0
+    while (j < a(off + NV)) {
+      if (a(off + Verts + j) == x) return a(off + Degs + j)
+      j += 1
     }
+    0
   }
 
-  private def growableAt(u: VId, v: VId): Vector[MotifMatch] = {
-    val a = growable.get(u).map(_.toVector).getOrElse(Vector.empty)
-    val b = growable.get(v).map(_.toVector).getOrElse(Vector.empty)
-    (a ++ b).distinct
+  private def incident(a: Array[Int], off: Int, e: Int): Boolean =
+    a(off + NE) == 0 || degree(a, off, edgeU(e)) > 0 || degree(a, off, edgeV(e)) > 0
+
+  /** Packed fac(e, g) for window edge e and the match block g at `off`. */
+  private def facOf(a: Array[Int], off: Int, e: Int): Int = {
+    val b = edges.at(e)
+    val d = edges.data
+    motifs.fac(d(b + ELu), degree(a, off, d(b + EU)), d(b + ELv), degree(a, off, d(b + EV)))
   }
 
-  private def register(m: MotifMatch): Boolean =
-    if (allMatches.contains(m.edges)) false
+  /** Scratch level `to` := the block at `off` of `a` plus edge e, at node `node`. */
+  private def extend(a: Array[Int], off: Int, to: Int, e: Int, node: Int): Unit = {
+    val t = to * stride
+    if ((a ne level) || off != t) System.arraycopy(a, off, level, t, stride)
+    level(t + Node) = node
+    level(t + Edges + level(t + NE)) = e
+    level(t + NE) += 1
+    addVertex(t, edgeU(e))
+    addVertex(t, edgeV(e))
+  }
+
+  private def addVertex(t: Int, x: Int): Unit = {
+    var j = 0
+    while (j < level(t + NV) && level(t + Verts + j) != x) j += 1
+    if (j < level(t + NV)) level(t + Degs + j) += 1
     else {
-      allMatches(m.edges) = m
-      m.vertices.foreach { v =>
-        matchList.getOrElseUpdate(v, mutable.LinkedHashSet.empty) += m
-        if (m.size < maxMotifEdges)
-          growable.getOrElseUpdate(v, mutable.LinkedHashSet.empty) += m
-      }
-      true
+      level(t + Verts + j) = x
+      level(t + Degs + j) = 1
+      level(t + NV) += 1
     }
+  }
+
+  /** Fill `all` with the live growable matches at u, then those at v that
+    * do not contain u, each in registration order.
+    */
+  private def collectGrowable(u: Int, v: Int): Unit = {
+    all.clear()
+    growable.retain(u, alive)
+    var i = 0
+    while (i < growable.length(u)) { all += growable.array(u)(i); i += 1 }
+    growable.retain(v, alive)
+    i = 0
+    while (i < growable.length(v)) {
+      val m = growable.array(v)(i)
+      if (degree(matches.data, matches.at(m), u) == 0) all += m
+      i += 1
+    }
+  }
+
+  // ---- registration ----
+
+  /** Order-independent 64-bit hash of the edge set of the block at `off`. */
+  private def setHash(a: Array[Int], off: Int): Long = {
+    var h = 0L
+    var j = 0
+    while (j < a(off + NE)) {
+      var z = a(off + Edges + j) * 0x9E3779B97F4A7C15L
+      z ^= z >>> 31
+      h += z * 0xBF58476D1CE4E5B9L
+      j += 1
+    }
+    h
+  }
+
+  /** True if match m has exactly the edges of the block at `off`. */
+  private def sameEdges(m: Int, a: Array[Int], off: Int): Boolean = {
+    val mb = matches.at(m)
+    if (matches.data(mb + NE) != a(off + NE)) false
+    else {
+      var j = 0
+      while (j < a(off + NE) && hasEdge(matches.data, mb, a(off + Edges + j))) j += 1
+      j == a(off + NE)
+    }
+  }
+
+  /** Register the match at scratch level `lvl` unless a live match has the
+    * same edge set; true if it is new.
+    */
+  private def register(lvl: Int): Boolean = {
+    val off = lvl * stride
+    val h   = setHash(level, off)
+    var m   = bySet.get(h)
+    while (m >= lowMatch) {
+      if (alive(m) && sameEdges(m, level, off)) return false
+      m = matchNext(m)
+    }
+    val id = nextMatch
+    matches.reserve(lowMatch, id)
+    val mb = matches.at(id)
+    System.arraycopy(level, off, matches.data, mb, stride)
+    matches.data(mb + Next) = bySet.get(h)
+    bySet.put(h, id)
+    nextMatch += 1
+    liveMatches += 1
+    var j = 0
+    while (j < level(off + NE)) {
+      edges.lists.appendLive(level(off + Edges + j) & edges.mask, id, alive)
+      j += 1
+    }
+    if (level(off + NE) < maxE) {
+      j = 0
+      while (j < level(off + NV)) { growable.appendLive(level(off + Verts + j), id, alive); j += 1 }
+    }
+    true
+  }
+
+  /** `index` maps `key` to the newest of a chain of ids linked by `next`;
+    * id x has just died. If x headed the chain, the newest live id after it
+    * (at least `low`) heads it instead, or the key goes.
+    */
+  private def unlink(index: LongIntMap, key: Long, x: Int, low: Int,
+                     next: Int => Int, live: Int => Boolean): Unit =
+    if (index.get(key) == x) {
+      var j = next(x)
+      while (j >= low && !live(j)) j = next(j)
+      if (j >= low) index.put(key, j) else index.remove(key)
+    }
+
+  private def kill(m: Int): Unit = {
+    val mb = matches.at(m)
+    matches.data(mb + Live) = 0
+    liveMatches -= 1
+    unlink(bySet, setHash(matches.data, mb), m, lowMatch, matchNext, alive)
+  }
+
+  // ---- eviction ----
+
+  /** The live matches containing one window edge, in registration order, as
+    * equal opportunism reads them. Valid until the matcher next changes.
+    */
+  final class Cluster extends EqualOpportunism.Matches {
+    private[MotifMatcher] val ids = new IntBuffer
+    private def at(i: Int): Int   = matches.at(ids(i))
+
+    def count: Int                    = ids.size
+    def id(i: Int): Int               = ids(i)
+    def support(i: Int): Double       = motifs.support(matches.data(at(i) + Node))
+    def size(i: Int): Int             = matches.data(at(i) + NE)
+    def edge(i: Int, j: Int): Int     = matches.data(at(i) + Edges + j)
+    def vertexCount(i: Int): Int      = matches.data(at(i) + NV)
+    def vertex(i: Int, j: Int): Int   = matches.data(at(i) + Verts + j)
+  }
+
+  private val cluster = new Cluster
+
+  /** All live matches that contain window edge e, in registration order. */
+  def containing(e: Int): Cluster = {
+    cluster.ids.clear()
+    if (edgeLive(e)) {
+      val slot = e & edges.mask
+      edges.lists.retain(slot, alive)
+      var i = 0
+      while (i < edges.lists.length(slot)) { cluster.ids += edges.lists.array(slot)(i); i += 1 }
+    }
+    cluster
+  }
+
+  /** Remove window edge e (it has been assigned to a permanent partition)
+    * and every match containing it; a no-op if e already left the window.
+    */
+  def removeEdge(e: Int): Unit = if (edgeLive(e)) {
+    val b    = edges.at(e)
+    val d    = edges.data
+    val slot = e & edges.mask
+    var i    = 0
+    while (i < edges.lists.length(slot)) {
+      val m = edges.lists.array(slot)(i)
+      if (alive(m)) kill(m)
+      i += 1
+    }
+    edges.lists.clear(slot)
+    d(b + ELive) = 0
+    liveEdges -= 1
+    unlink(byEndpoints, (d(b + EU).toLong << 32) | d(b + EV), e, head, edgeNext, edgeLive)
+    while (head < nextEdge && d(edges.at(head) + ELive) == 0) head += 1
+    lowMatch = if (head < nextEdge) d(edges.at(head) + EFirst) else nextMatch
+  }
+
+  // ---- decoded views (tests and inspection) ----
+
+  private def decodeEdge(e: Int): LEdge = {
+    val b = edges.at(e)
+    val d = edges.data
+    LEdge(vertexIds.external(d(b + EU)), motifs.labelName(d(b + ELu)),
+          vertexIds.external(d(b + EV)), motifs.labelName(d(b + ELv)))
+  }
+
+  private def decodeMatch(m: Int): MotifMatch = {
+    val mb = matches.at(m)
+    MotifMatch(m, Vector.tabulate(matches.data(mb + NE))(j => decodeEdge(matches.data(mb + Edges + j))),
+               motifs.motif(matches.data(mb + Node)))
+  }
+
+  /** Id of window edge e, or -1 if e is not in the window. */
+  private def edgeId(e: LEdge): Int = {
+    val (u, v) = (vertexIds.find(e.u), vertexIds.find(e.v))
+    var j = if (u < 0 || v < 0) -1 else byEndpoints.get((u.toLong << 32) | v)
+    while (j >= head && !(edgeLive(j) && decodeEdge(j) == e)) j = edgeNext(j)
+    if (j >= head) j else -1
+  }
+
+  /** Window edges in arrival order. */
+  def windowEdges: Vector[LEdge] = (head until nextEdge).filter(edgeLive).map(decodeEdge).toVector
+
+  def oldestEdge: Option[LEdge] = if (liveEdges == 0) None else Some(decodeEdge(head))
+
+  /** Live matches containing vertex v, in registration order. */
+  def matchesAt(v: VId): Vector[MotifMatch] = {
+    val d = vertexIds.find(v)
+    (lowMatch until nextMatch).filter(m => alive(m) && degree(matches.data, matches.at(m), d) > 0)
+      .map(decodeMatch).toVector
+  }
+
+  /** All live matches that contain edge e, in registration order. */
+  def matchesContaining(e: LEdge): Vector[MotifMatch] = {
+    val c = containing(edgeId(e))
+    Vector.tabulate(c.count)(i => decodeMatch(c.id(i)))
+  }
+
+  /** Check whether a lone stream edge matches a single-edge motif. If not,
+    * the caller assigns it immediately and never adds it to the window.
+    */
+  def singleEdgeMotif(e: LEdge): Option[TPSTry#Node] = motifs.matchSingleEdge(e)
+
+  /** [[insert]] for an external edge; `singleNode` must be the node
+    * returned by [[singleEdgeMotif]] for e.
+    */
+  def insert(e: LEdge, singleNode: TPSTry#Node): Int = {
+    val u  = vertexIds.id(e.u)
+    val lu = motifs.label(e.uLabel)
+    val v  = vertexIds.id(e.v)
+    val lv = motifs.label(e.vLabel)
+    insert(u, lu, v, lv, motifs.motifId(singleNode))
+  }
+
+  /** Remove the given window edges and every match containing one. */
+  def removeEdges(es: Iterable[LEdge]): Unit = es.foreach(e => removeEdge(edgeId(e)))
+}
+
+/** Fixed-stride `Int` blocks for the ids of a sliding range [low, next): id
+  * i lives at `at(i)`, in slot `i & mask`, with an `Int` list per slot.
+  * Doubles, moving the range's blocks and lists, when the range would
+  * outgrow it.
+  */
+private final class Ring(stride: Int) {
+  var data  = new Array[Int](16 * stride)
+  var lists = new IntLists
+  var mask  = 15
+
+  def at(id: Int): Int = (id & mask) * stride
+
+  /** Make room for id `next` while keeping ids [low, next). */
+  def reserve(low: Int, next: Int): Unit = {
+    require(next < Int.MaxValue, "id space exhausted")
+    if (next - low > mask) {
+      val (d, l, m) = (data, lists, mask)
+      mask = 2 * m + 1
+      data = new Array[Int]((mask + 1) * stride)
+      lists = new IntLists
+      var id = low
+      while (id < next) {
+        System.arraycopy(d, (id & m) * stride, data, at(id), stride)
+        lists.adopt(id & mask, l, id & m)
+        id += 1
+      }
+    }
+  }
 }

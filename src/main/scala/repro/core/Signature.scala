@@ -47,6 +47,7 @@ object Signature {
     * the same coder everywhere (trie construction and stream matching must
     * agree). Labels are registered lazily, in first-use order; callers that
     * need cross-JVM stability should register labels in a fixed order first.
+    * Not thread-safe: each Loom builds its own coder.
     */
   final class LabelCoder(val p: Int = DefaultP, seed: Long = 42L) {
     require(p >= 2, "p must be at least 2")
@@ -54,12 +55,11 @@ object Signature {
     private val values  = scala.collection.mutable.LinkedHashMap.empty[String, Int]
 
     /** r(l): the random value for label l (registered on first use). */
-    def r(label: String): Int = synchronized {
+    def r(label: String): Int =
       values.getOrElseUpdate(label, {
         require(values.size < pool.size, s"more labels than available values in [1,$p)")
         pool(values.size)
       })
-    }
   }
 
   /** Map x into [1, p]: the paper does not consider 0 a valid factor and
@@ -110,4 +110,29 @@ object Signature {
     g.edges.foldLeft((SubGraph.empty, Sig.empty)) { case ((h, sig), e) =>
       (h + e, sig ++ fac(e, h))
     }._2
+
+  /** Largest factor a packed delta can hold: 8 bits per factor. */
+  val MaxPackedFactor: Int = 255
+
+  /** A three-factor delta packed into the low 24 bits of an `Int`, sorted
+    * ascending from the high byte down, so equal deltas pack equally. Every
+    * fac(e, g) has exactly three factors in [1, p]; with p ≤ 255 (the
+    * paper's p = 251) each fits in a byte.
+    */
+  def packed(a: Int, b: Int, c: Int): Int = {
+    // Sort three values with three compare-and-swaps.
+    var x = a; var y = b; var z = c
+    if (x > y) { val t = x; x = y; y = t }
+    if (y > z) { val t = y; y = z; z = t }
+    if (x > y) { val t = x; x = y; y = t }
+    (x << 16) | (y << 8) | z
+  }
+
+  /** [[packed]] form of a factor delta from [[fac]]. */
+  def packed(delta: Sig): Int = {
+    require(delta.size == 3, s"a packed delta has exactly 3 factors, got ${delta.factors}")
+    require(delta.factors.forall(f => f >= 1 && f <= MaxPackedFactor),
+            s"packed factors lie in [1, $MaxPackedFactor], got ${delta.factors}")
+    packed(delta.factors(0), delta.factors(1), delta.factors(2))
+  }
 }

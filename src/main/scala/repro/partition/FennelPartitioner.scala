@@ -24,14 +24,16 @@ final class FennelPartitioner(k: Int, nExpected: Long, mExpected: Long)
   private val adjacency = new AdjacencyTracker
 
   override def add(e: LEdge): Unit = {
-    adjacency.add(e)
-    place(e.u)
-    place(e.v)
+    val u = state.ids.id(e.u)
+    val v = state.ids.id(e.v)
+    adjacency.add(u, v)
+    place(u)
+    place(v)
   }
 
-  private def place(v: VId): Unit = if (!state.isAssigned(v)) {
+  private def place(v: Int): Unit = if (!state.isAssignedId(v)) {
     val counts = adjacency.neighbourCounts(v, state)
-    state.assign(v, state.bestOpen(i =>
+    state.assignId(v, state.bestOpen(i =>
       counts(i) - alpha * Gamma * math.pow(state.size(i).toDouble, Gamma - 1)))
   }
 }

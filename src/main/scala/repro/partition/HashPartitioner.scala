@@ -13,8 +13,13 @@ final class HashPartitioner(k: Int, nExpected: Long) extends StreamingPartitione
   override val state           = new PartitionState(k, capacity = math.max(1.0, nExpected.toDouble / k))
 
   override def add(e: LEdge): Unit = {
-    state.assign(e.u, HashPartitioner.mix(e.u, k))
-    state.assign(e.v, HashPartitioner.mix(e.v, k))
+    place(e.u)
+    place(e.v)
+  }
+
+  private def place(v: VId): Unit = {
+    val d = state.ids.id(v)
+    if (!state.isAssignedId(d)) state.assignId(d, HashPartitioner.mix(v, k))
   }
 }
 

@@ -19,9 +19,11 @@ final class LdgPartitioner(k: Int, nExpected: Long) extends StreamingPartitioner
   private val adjacency = new AdjacencyTracker
 
   override def add(e: LEdge): Unit = {
-    adjacency.add(e)
-    LdgPartitioner.place(state, adjacency, e.u)
-    LdgPartitioner.place(state, adjacency, e.v)
+    val u = state.ids.id(e.u)
+    val v = state.ids.id(e.v)
+    adjacency.add(u, v)
+    LdgPartitioner.place(state, adjacency, u)
+    LdgPartitioner.place(state, adjacency, v)
   }
 }
 
@@ -30,13 +32,13 @@ object LdgPartitioner {
   /** Capacity C = slack·n/k (Stanton & Kliot's 1.1). */
   val Slack: Double = 1.1
 
-  /** Place v, if unassigned, on the open partition maximising
+  /** Place dense id v, if unassigned, on the open partition maximising
     * `N(S_i, v) · (1 − |V(S_i)|/C)` (tie and all-full rules of
     * [[PartitionState.bestOpen]]).
     */
-  def place(state: PartitionState, adjacency: AdjacencyTracker, v: VId): Unit =
-    if (!state.isAssigned(v)) {
+  def place(state: PartitionState, adjacency: AdjacencyTracker, v: Int): Unit =
+    if (!state.isAssignedId(v)) {
       val counts = adjacency.neighbourCounts(v, state)
-      state.assign(v, state.bestOpen(i => counts(i) * (1.0 - state.size(i) / state.capacity)))
+      state.assignId(v, state.bestOpen(i => counts(i) * (1.0 - state.size(i) / state.capacity)))
     }
 }

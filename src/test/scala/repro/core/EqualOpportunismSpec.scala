@@ -13,7 +13,29 @@ class EqualOpportunismSpec extends SparkSpec {
   private implicit val coder: LabelCoder = new LabelCoder()
 
   /** No vertex has seen neighbours anywhere: bids count membership only. */
-  private val noNeighbours: (VId, Int) => Int = (_, _) => 0
+  private val noNeighbours: (Int, Int) => Int = (_, _) => 0
+
+  /** Equal opportunism's view of `ms`, with vertex ids encoded by `s`. */
+  private def view(s: PartitionState, ms: Seq[MotifMatch]): Matches = new Matches {
+    private val vs = ms.map(_.vertices.map(s.ids.id).toArray).toVector
+    def count: Int                  = ms.size
+    def support(i: Int): Double     = ms(i).support
+    def size(i: Int): Int           = ms(i).size
+    def vertexCount(i: Int): Int    = vs(i).length
+    def vertex(i: Int, j: Int): Int = vs(i)(j)
+  }
+  private def view(s: PartitionState, m: MotifMatch): Matches = view(s, Vector(m))
+
+  /** `allocate` over `ms`, with the chosen matches returned as matches. */
+  private def allocateOf(s: PartitionState, ms: Vector[MotifMatch],
+                         n: (Int, Int) => Int): (Allocation, Vector[MotifMatch]) = {
+    val out = allocate(s, view(s, ms), n)
+    (out, out.chosen.map(ms).toVector)
+  }
+
+  /** A neighbour count given by external vertex id. */
+  private def byExternal(s: PartitionState)(n: (VId, Int) => Int): (Int, Int) => Int =
+    (v, pid) => n(s.ids.external(v), pid)
 
   private def mkState(k: Int, capacity: Double, sizes: Vector[Int]): PartitionState = {
     val s = new PartitionState(k, capacity)
@@ -32,7 +54,7 @@ class EqualOpportunismSpec extends SparkSpec {
     trie.add(q, support)
     if (support < 1.0) trie.add(path("zz", "zz"), 1.0 - support) // absorbs remaining mass
     val sig  = ofSubGraph(SubGraph(edges.toSet))
-    MotifMatch(SubGraph(edges.toSet), trie.node(sig).get)
+    MotifMatch(0, edges.toVector, trie.node(sig).get)
   }
 
   // ---------- ration l (eq. 2, corrected) ----------
@@ -73,17 +95,17 @@ class EqualOpportunismSpec extends SparkSpec {
     val s = mkState(2, 10, Vector(2, 0))
     s.assign(1L, 0); s.assign(2L, 0) // vertices 1,2 on partition 0 (sizes 4,0)
     val m = mkMatch(0.5, LEdge(1, "a", 2, "b"), LEdge(2, "b", 3, "a"))
-    val b0 = bid(s, 0, m, noNeighbours)
+    val b0 = bid(s, 0, view(s, m), 0, noNeighbours)
     // N(S0, m) = 2 (vertices 1,2), residual = 1 - 4/10, supp = 0.5
     assert(math.abs(b0 - 2 * 0.6 * 0.5) < 1e-9)
-    assert(bid(s, 1, m, noNeighbours) == 0.0, "no shared vertices -> zero bid")
+    assert(bid(s, 1, view(s, m), 0, noNeighbours) == 0.0, "no shared vertices -> zero bid")
   }
 
   test("bid goes negative above capacity (discourages overfull partitions)") {
     val s = mkState(1, 2, Vector(3))
     s.assign(1L, 0)
     val m = mkMatch(1.0, LEdge(1, "a", 2, "b"))
-    assert(bid(s, 0, m, noNeighbours) < 0)
+    assert(bid(s, 0, view(s, m), 0, noNeighbours) < 0)
   }
 
   // ---------- allocate (eq. 3) ----------
@@ -93,15 +115,15 @@ class EqualOpportunismSpec extends SparkSpec {
     s.assign(1L, 0); s.assign(2L, 0); s.assign(3L, 1) // sizes: 7 vs 9
     val e  = LEdge(1, "a", 2, "b")
     val m1 = mkMatch(1.0, e)
-    val out = allocate(s, Vector(m1), noNeighbours)
+    val (out, chosen) = allocateOf(s, Vector(m1), noNeighbours)
     assert(out.winner == 0)
-    assert(out.chosen == Vector(m1))
+    assert(chosen == Vector(m1))
   }
 
   test("allocation falls back to the least-loaded partition when all bids are zero") {
     val s = mkState(3, 1000, Vector(4, 2, 7))
     val m = mkMatch(1.0, LEdge(50, "a", 51, "b"))
-    val out = allocate(s, Vector(m), noNeighbours)
+    val out = allocate(s, view(s, m), noNeighbours)
     assert(out.winner == 1)
   }
 
@@ -110,9 +132,9 @@ class EqualOpportunismSpec extends SparkSpec {
     val e  = LEdge(1, "a", 2, "b")
     val hi = mkMatch(0.9, e)
     val lo = mkMatch(0.3, e, LEdge(2, "b", 3, "a"))
-    val out = allocate(s, Vector(lo, hi), noNeighbours)
-    assert(out.chosen.head.support >= out.chosen.last.support)
-    assert(out.chosen.head == hi)
+    val (_, chosen) = allocateOf(s, Vector(lo, hi), noNeighbours)
+    assert(chosen.head.support >= chosen.last.support)
+    assert(chosen.head == hi)
   }
 
   test("a large partition's ration truncates its prefix of matches") {
@@ -130,23 +152,23 @@ class EqualOpportunismSpec extends SparkSpec {
       mkMatch(0.5, e, LEdge(2, "b", 4, "a")),
       mkMatch(0.3, e, LEdge(2, "b", 5, "a")),
     )
-    val out = allocate(s, ms, noNeighbours)
+    val (out, chosen) = allocateOf(s, ms, noNeighbours)
     assert(out.winner == 0)
-    assert(out.chosen.size == 3, s"ration should truncate to 3, got ${out.chosen.size}")
-    assert(out.chosen.map(_.support) == Vector(0.9, 0.7, 0.5))
+    assert(chosen.size == 3, s"ration should truncate to 3, got ${chosen.size}")
+    assert(chosen.map(_.support) == Vector(0.9, 0.7, 0.5))
   }
 
   test("at least one match is always chosen (the evicted edge must be placed)") {
     val s = mkState(2, 1000, Vector(10, 30)) // partition 1 over cap: l=0
     (1L to 2L).foreach(v => s.assign(v, 1))  // but match vertices are on 1
     val m  = mkMatch(1.0, LEdge(1, "a", 2, "b"))
-    val out = allocate(s, Vector(m), noNeighbours)
+    val out = allocate(s, view(s, m), noNeighbours)
     assert(out.chosen.nonEmpty)
   }
 
   test("allocate rejects empty match lists") {
     val s = mkState(2, 1000, Vector(0, 0))
-    intercept[IllegalArgumentException] { allocate(s, Vector.empty, noNeighbours) }
+    intercept[IllegalArgumentException] { allocate(s, view(s, Vector.empty), noNeighbours) }
   }
 
   test("zero bids: the cluster's LDG choice wins over least-loaded") {
@@ -161,12 +183,12 @@ class EqualOpportunismSpec extends SparkSpec {
       mkMatch(0.5, e, LEdge(2, "b", 4, "a")),
       mkMatch(0.3, e, LEdge(2, "b", 5, "a")),
     )
-    val neighbourN: (VId, Int) => Int = (v, pid) => if (v == 5L && pid == 0) 2 else 0
-    val out = allocate(s, ms, neighbourN)
+    val neighbourN = byExternal(s)((v, pid) => if (v == 5L && pid == 0) 2 else 0)
+    val (out, chosen) = allocateOf(s, ms, neighbourN)
     assert(out.fallback)
     assert(s.leastLoaded == 1)
     assert(out.winner == 0)
-    assert(out.chosen.map(_.support) == Vector(0.9, 0.7, 0.5))
+    assert(chosen.map(_.support) == Vector(0.9, 0.7, 0.5))
   }
 
   test("tied positive totals: smaller partition, then lower index, wins") {
@@ -174,13 +196,28 @@ class EqualOpportunismSpec extends SparkSpec {
     // 2 neighbours of vertex 50 give both partitions a total of exactly 1.5.
     val m = mkMatch(1.0, LEdge(50, "a", 51, "b"))
     val bySize = mkState(3, 8, Vector(4, 2, 3))
-    val n1: (VId, Int) => Int = (v, pid) => if (v == 50L) Vector(3, 2, 0)(pid) else 0
-    assert(bid(bySize, 0, m, n1) == bid(bySize, 1, m, n1))
-    assert(allocate(bySize, Vector(m), n1).winner == 1)
+    val n1 = byExternal(bySize)((v, pid) => if (v == 50L) Vector(3, 2, 0)(pid) else 0)
+    assert(bid(bySize, 0, view(bySize, m), 0, n1) == bid(bySize, 1, view(bySize, m), 0, n1))
+    assert(allocate(bySize, view(bySize, m), n1).winner == 1)
     // Equal sizes and equal totals: the lower index wins.
     val byIndex = mkState(3, 8, Vector(3, 2, 2))
-    val n2: (VId, Int) => Int = (v, pid) => if (v == 50L && pid > 0) 1 else 0
-    assert(bid(byIndex, 1, m, n2) == bid(byIndex, 2, m, n2))
-    assert(allocate(byIndex, Vector(m), n2).winner == 1)
+    val n2 = byExternal(byIndex)((v, pid) => if (v == 50L && pid > 0) 1 else 0)
+    assert(bid(byIndex, 1, view(byIndex, m), 0, n2) == bid(byIndex, 2, view(byIndex, m), 0, n2))
+    assert(allocate(byIndex, view(byIndex, m), n2).winner == 1)
+  }
+
+  test("tied support and size: the ration prefix keeps the matches' order") {
+    // As the larger-partition case above, but all four matches tie on
+    // support and size: the prefix of 3 is the first three as given.
+    val s = mkState(2, 1000, Vector(0, 0))
+    (1L to 10L).foreach(v => s.assign(v, 0))
+    (11L to 20L).foreach(v => s.assign(v, 1))
+    s.assign(21L, 0) // sizes now 11 vs 10
+    val e  = LEdge(1, "a", 2, "b")
+    val ms = Vector(5, 3, 4, 6).map(x => mkMatch(0.5, e, LEdge(2, "b", x.toLong, "a")))
+    val (out, chosen) = allocateOf(s, ms, noNeighbours)
+    assert(out.winner == 0)
+    assert(out.chosen == Vector(0, 1, 2))
+    assert(chosen == ms.take(3))
   }
 }

@@ -1,10 +1,12 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.util.Random
 import repro.SparkSpec
 import repro.core.Model._
 import repro.core.Signature._
 import repro.partition._
+import repro.workloads.Workloads
 
 /** End-to-end Loom partitioner tests (paper §3–§4). */
 class LoomPartitionerSpec extends SparkSpec {
@@ -150,5 +152,88 @@ class LoomPartitionerSpec extends SparkSpec {
       StreamingPartitioner.run(loom, stream.iterator)
     }
     assert(run() == run())
+  }
+  // ---------- golden pmaps ----------
+
+  /** A seeded labelled stream over `w`'s edge labels plus two labels outside
+    * it: mostly edges along the workload's label pairs, 40 vertices per
+    * label of which the first is a hub (15% of picks), scattered 64-bit
+    * vertex ids, and reversed duplicates of earlier edges (5%). No edge
+    * repeats exactly.
+    */
+  private def goldenStream(w: Workload, seed: Int, size: Int): Vector[LEdge] = {
+    val rnd    = new Random(seed)
+    val pairs  = w.queries.flatMap(_._1.edgeLabelPairs).distinct
+    val labels = (pairs.flatMap { case (a, b) => Vector(a, b) } ++ Vector("Outside", "Stranger")).distinct
+    val perLabel = 40
+    def vertex(l: String): VId = {
+      val i = if (rnd.nextDouble() < 0.15) 0 else rnd.nextInt(perLabel)
+      (labels.indexOf(l) * perLabel + i + 1).toLong * 0x9E3779B97F4A7C15L
+    }
+    val seen  = mutable.LinkedHashSet.empty[LEdge]
+    val order = mutable.ArrayBuffer.empty[LEdge]
+    while (order.size < size) {
+      val e =
+        if (order.nonEmpty && rnd.nextDouble() < 0.05) {
+          val o = order(rnd.nextInt(order.size))
+          LEdge(o.v, o.vLabel, o.u, o.uLabel)
+        } else {
+          val (la, lb) =
+            if (rnd.nextDouble() < 0.8) pairs(rnd.nextInt(pairs.size))
+            else (labels(rnd.nextInt(labels.size)), labels(rnd.nextInt(labels.size)))
+          val (u, v) = (vertex(la), vertex(lb))
+          if (u == v) null
+          else if (rnd.nextBoolean()) LEdge(u, la, v, lb) else LEdge(v, lb, u, la)
+        }
+      if (e != null && seen.add(e)) order += e
+    }
+    order.toVector
+  }
+
+  /** The pmap fingerprint loombench records: 64-bit FNV-1a over the
+    * (vertex, partition) pairs in vertex order.
+    */
+  private def fingerprint(pmap: Map[VId, Int]): String = {
+    var h = 0xcbf29ce484222325L
+    def mix(x: Long): Unit =
+      (0 until 8).foreach(i => h = (h ^ ((x >>> (8 * i)) & 0xff)) * 0x100000001b3L)
+    pmap.toVector.sortBy(_._1).foreach { case (v, p) => mix(v); mix(p.toLong) }
+    f"$h%016x"
+  }
+
+  /** Fingerprints of the partitioners as implemented before Loom's core moved
+    * to primitive ids, per (dataset, system, window): 3000 edges, k = 8.
+    */
+  private val golden: Map[(String, String, Int), String] = Map(
+    ("DBLP", "LDG", 0)           -> "3ef10a6875203085",
+    ("DBLP", "Fennel", 0)        -> "e246b9277abe0d22",
+    ("DBLP", "Loom", 100)        -> "802ce3251a444a74",
+    ("DBLP", "Loom", 1000)       -> "fc58b2cbec7c5241",
+    ("ProvGen", "LDG", 0)        -> "b2f6e9fb51c72164",
+    ("ProvGen", "Fennel", 0)     -> "9fbe0e4c813d362a",
+    ("ProvGen", "Loom", 100)     -> "c2316d001db0ba9b",
+    ("ProvGen", "Loom", 1000)    -> "b288cc801d9b1719",
+    ("MusicBrainz", "LDG", 0)    -> "3b96b7b657c03932",
+    ("MusicBrainz", "Fennel", 0) -> "643a66d8a0b43170",
+    ("MusicBrainz", "Loom", 100) -> "8fe35e46b5c4499a",
+    ("MusicBrainz", "Loom", 1000) -> "3d080e9238ea4c1f",
+    ("LUBM-100", "LDG", 0)       -> "6359830766c1cf64",
+    ("LUBM-100", "Fennel", 0)    -> "eb4a2e045aba0c23",
+    ("LUBM-100", "Loom", 100)    -> "11c0328430881bc4",
+    ("LUBM-100", "Loom", 1000)   -> "be181f328e8e7a58",
+  )
+
+  test("golden pmaps: Loom, LDG and Fennel on seeded labelled streams") {
+    val got = for {
+      (d, seed) <- Vector("DBLP", "ProvGen", "MusicBrainz", "LUBM-100").zipWithIndex
+      w      = Workloads.forDataset(d)
+      stream = goldenStream(w, seed + 1, 3000)
+      (n, m) = repro.engine.ExperimentRunner.graphStats(stream)
+      (sys, window) <- Vector(("LDG", 0), ("Fennel", 0), ("Loom", 100), ("Loom", 1000))
+    } yield {
+      val p = repro.engine.ExperimentRunner.makePartitioner(sys, 8, n, m, w, math.max(1, window))
+      (d, sys, window) -> fingerprint(StreamingPartitioner.run(p, stream.iterator))
+    }
+    assert(got.toMap == golden)
   }
 }

@@ -57,7 +57,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
   }
 
   private def allMatchSets(m: MotifMatcher): Set[Set[LEdge]] =
-    m.windowEdges.flatMap(e => m.matchesContaining(e)).map(_.edges).toSet
+    m.windowEdges.flatMap(e => m.matchesContaining(e)).map(_.edges.toSet).toSet
 
   test("single-edge motif match populates matchList for both endpoints (Fig. 5, e1)") {
     implicit val c: LabelCoder = new LabelCoder()
@@ -65,8 +65,8 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val m     = new MotifMatcher(index)
     val e1    = LEdge(1, "a", 2, "b")
     m.insert(e1, m.singleEdgeMotif(e1).get)
-    assert(m.matchesAt(1).map(_.edges) == Vector(Set(e1)))
-    assert(m.matchesAt(2).map(_.edges) == Vector(Set(e1)))
+    assert(m.matchesAt(1).map(_.edges.toSet) == Vector(Set(e1)))
+    assert(m.matchesAt(2).map(_.edges.toSet) == Vector(Set(e1)))
     assert(m.windowSize == 1)
   }
 
@@ -88,9 +88,9 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     assert(sets.contains(Set(e2)))
     assert(sets.contains(Set(e1, e2)), "a-b-a match must be discovered")
     // The 2-edge match is registered for all three vertices.
-    assert(m.matchesAt(1).exists(_.edges == Set(e1, e2)))
-    assert(m.matchesAt(2).exists(_.edges == Set(e1, e2)))
-    assert(m.matchesAt(3).exists(_.edges == Set(e1, e2)))
+    assert(m.matchesAt(1).exists(_.edges.toSet == Set(e1, e2)))
+    assert(m.matchesAt(2).exists(_.edges.toSet == Set(e1, e2)))
+    assert(m.matchesAt(3).exists(_.edges.toSet == Set(e1, e2)))
   }
 
   test("non-incident edges do not combine") {
@@ -200,5 +200,48 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     m.windowEdges.flatMap(m.matchesContaining).foreach { mm =>
       assert(mm.size <= index.maxMotifEdges)
     }
+  }
+
+  // ---------- the orders Loom's partitioning reads ----------
+
+  test("matchesContaining(e) returns matches in registration order") {
+    implicit val c: LabelCoder = new LabelCoder()
+    val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0, path("b", "a", "b") -> 1.0)))
+    val e  = LEdge(1, "a", 2, "b")
+    val es = Vector(e, LEdge(3, "a", 2, "b"), LEdge(1, "a", 4, "b"), LEdge(5, "a", 2, "b"))
+    val m  = streamAll(es, index)
+    val ms = m.matchesContaining(e)
+    assert(ms.map(_.id) == ms.map(_.id).sorted, "ids are registration numbers")
+    // {e} on arrival, then each later edge's growth of it.
+    assert(ms.map(_.edges) == Vector(Vector(e), Vector(e, es(1)), Vector(e, es(2)), Vector(e, es(3))))
+  }
+
+  test("growth visits u's growable matches before v's") {
+    implicit val c: LabelCoder = new LabelCoder()
+    val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0, path("b", "a", "b") -> 1.0)))
+    val atA = LEdge(30, "a", 40, "b") // meets the new edge at its a-end
+    val atB = LEdge(10, "a", 20, "b") // meets the new edge at its b-end
+    def grownOrder(e: LEdge): Vector[Vector[LEdge]] = {
+      val m = streamAll(Vector(atB, atA, e), index)
+      m.matchesContaining(e).filter(_.size == 2).map(_.edges)
+    }
+    // The new edge's first endpoint is u: its growable matches grow first.
+    assert(grownOrder(LEdge(30, "a", 20, "b")) ==
+             Vector(Vector(atA, LEdge(30, "a", 20, "b")), Vector(atB, LEdge(30, "a", 20, "b"))))
+    assert(grownOrder(LEdge(20, "b", 30, "a")) ==
+             Vector(Vector(atB, LEdge(20, "b", 30, "a")), Vector(atA, LEdge(20, "b", 30, "a"))))
+  }
+
+  test("a reversed duplicate enters the window as a second edge") {
+    implicit val c: LabelCoder = new LabelCoder()
+    val index = mkIndex(Workload(Vector(singleEdge("a", "b") -> 1.0)))
+    val e = LEdge(1, "a", 2, "b")
+    val m = streamAll(Vector(e, LEdge(2, "b", 1, "a")), index)
+    assert(m.windowSize == 2)
+    m.removeEdges(Set(e))
+    assert(m.windowEdges == Vector(LEdge(2, "b", 1, "a")))
+    // Once e has left the window, it may enter again.
+    m.insert(e, m.singleEdgeMotif(e).get)
+    assert(m.windowSize == 2)
   }
 }

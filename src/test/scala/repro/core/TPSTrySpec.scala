@@ -210,4 +210,35 @@ class TPSTrySpec extends SparkSpec {
       }
     }
   }
+
+  test("packed child lookups equal child(sig) on every trie link of the four workloads") {
+    Datasets.queryable.foreach { d =>
+      implicit val c: LabelCoder = coder()
+      val trie  = TPSTry.ofWorkload(Workloads.forDataset(d.name))
+      val index = trie.motifIndex(0.4)
+      val links = trie.nodes.flatMap(n => n.children.map { case (delta, ch) => (n, delta, ch) })
+      assert(links.nonEmpty)
+      links.foreach { case (n, delta, ch) =>
+        assert(delta.size == 3, s"${d.name}: a trie delta has 3 factors: $delta")
+        assert(index.motifChild(n, delta) == Some(ch).filter(_.support >= 0.4),
+               s"${d.name}: link $delta from $n")
+        assert(n.child(delta).contains(ch))
+      }
+      // Packing is injective on each node's links.
+      trie.nodes.foreach { n =>
+        val packed = n.children.map(l => Signature.packed(l._1))
+        assert(packed.distinct.size == packed.size)
+      }
+    }
+  }
+
+  test("packing rejects p >= 256 and deltas without exactly 3 factors") {
+    implicit val c: LabelCoder = new LabelCoder(257, 42L)
+    val trie = TPSTry.ofWorkload(Workloads.dblp)
+    val err  = intercept[IllegalArgumentException](trie.motifIndex(0.4))
+    assert(err.getMessage.contains("p < 256"), err.getMessage)
+    intercept[IllegalArgumentException](Signature.packed(Sig.of(1, 2)))
+    intercept[IllegalArgumentException](Signature.packed(Sig.of(1, 2, 256)))
+    assert(Signature.packed(Sig.of(3, 1, 2)) == Signature.packed(2, 3, 1))
+  }
 }

@@ -71,10 +71,11 @@ class PartitionerSpec extends SparkSpec {
   test("AdjacencyTracker counts assigned neighbours per partition") {
     val t = new AdjacencyTracker
     val s = new PartitionState(2, 100)
-    t.add(LEdge(1, "a", 2, "b")); t.add(LEdge(1, "a", 3, "b"))
+    def id(v: VId): Int = s.ids.id(v)
+    t.add(id(1), id(2)); t.add(id(1), id(3))
     s.assign(2, 0); s.assign(3, 1)
-    assert(t.neighbourCounts(1, s).toVector == Vector(1, 1))
-    assert(t.neighbourCounts(99, s).toVector == Vector(0, 0))
+    assert(t.neighbourCounts(id(1), s).toVector == Vector(1, 1))
+    assert(t.neighbourCounts(id(99), s).toVector == Vector(0, 0))
   }
 
   // ---------- Hash ----------

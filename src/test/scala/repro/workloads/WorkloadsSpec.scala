@@ -24,7 +24,7 @@ class WorkloadsSpec extends SparkSpec {
       w.queries.foreach { case (q, _) =>
         assert(q.numEdges >= 1 && q.numEdges <= 10)
       }
-      assert(w.maxQueryEdges <= 4)
+      assert(w.queries.map(_._1.numEdges).max <= 4)
     }
   }
 
