@@ -29,7 +29,7 @@ final class LoomPartitioner(
   override val state = new PartitionState(
     k, capacity = math.max(1.0, LoomPartitioner.CapacitySlack * nExpected.toDouble / k))
 
-  val matcher = new MotifMatcher(motifs, state.ids)
+  val matcher = new MotifMatcher(motifs)
 
   private val adjacency = new AdjacencyTracker
   // Unassigned motif-label vertices first seen on non-motif edges, in

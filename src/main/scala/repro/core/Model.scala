@@ -48,10 +48,6 @@ object Model {
     /** Degree of pattern vertex i. */
     def degree(i: Int): Int = edges.count { case (a, b) => a == i || b == i }
 
-    /** Pattern vertices adjacent to i. */
-    def neighbours(i: Int): Vector[Int] =
-      edges.collect { case (a, b) if a == i => b; case (a, b) if b == i => a }
-
     /** This pattern's edges as label pairs (sorted within the pair). */
     def edgeLabelPairs: Vector[(String, String)] =
       edges.map { case (a, b) =>

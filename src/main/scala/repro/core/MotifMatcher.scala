@@ -1,17 +1,6 @@
 package repro.core
 
-import repro.core.Model._
-import repro.partition.{IntBuffer, IntLists, LongIntMap, VertexIds}
-
-/** A motif match as the matcher's decoded views return it: its window
-  * edges in insertion order and the TPSTry++ node (motif) it matches. `id`
-  * is the match's registration number within its matcher.
-  */
-final case class MotifMatch(id: Int, edges: Vector[LEdge], node: TPSTry#Node) {
-  def size: Int             = edges.size
-  def support: Double       = node.support
-  def vertices: Vector[VId] = edges.flatMap(e => Vector(e.u, e.v)).distinct
-}
+import repro.partition.{IntBuffer, IntLists, LongIntMap}
 
 /** Graph-stream motif matcher (paper §3, Alg. 2).
   *
@@ -28,11 +17,24 @@ final case class MotifMatch(id: Int, edges: Vector[LEdge], node: TPSTry#Node) {
   * pre-existing matches were joinable before the edge arrived and were
   * handled then.
   *
+  * '''Interface.''' The matcher speaks only primitive ids: the caller
+  * passes each edge's dense endpoint ids (its [[repro.partition.VertexIds]]),
+  * their label ids ([[MotifIndex.label]]) and the single-edge motif of the
+  * label pair ([[MotifIndex.singleEdge]]); it reads a window edge's matches
+  * back through [[containing]] and the edge's endpoints through [[edgeU]] and
+  * [[edgeV]]. An edge id is the edge's arrival number, from 0 for a fresh
+  * matcher, so a caller that keeps its stream can decode an id itself.
+  *
+  * '''Duplicates.''' Every inserted edge is an edge: a repeat of a window
+  * edge, exact or reversed, enters the window as a second edge with its own
+  * id and its own matches, as a repeated edge counts again in Hash, LDG,
+  * Fennel and [[repro.partition.AdjacencyTracker]].
+  *
   * '''Representation.''' Everything is a primitive id:
-  *   - vertices are the dense ids of [[vertexIds]], labels the interned ids
-  *     of [[MotifIndex.label]], motif nodes the ids of [[MotifIndex]];
-  *   - an edge id is the edge's arrival number; the window is a ring of edge
-  *     ids, oldest first, whose removed entries are skipped lazily;
+  *   - vertices and labels are the caller's ids, motif nodes the ids of
+  *     [[MotifIndex]];
+  *   - the window is a ring of edge ids, oldest first, whose removed entries
+  *     are skipped lazily;
   *   - a match is a block of ints in a ring indexed by match id (its
   *     registration number): its node, its edge ids in insertion order, and
   *     its vertices with their degrees in the match, so a factor delta costs
@@ -50,7 +52,7 @@ final case class MotifMatch(id: Int, edges: Vector[LEdge], node: TPSTry#Node) {
   * edges in its insertion order; and a match's edges keep the order in which
   * they were added.
   */
-final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new VertexIds) {
+final class MotifMatcher(val motifs: MotifIndex) {
 
   private val maxE = motifs.maxMotifEdges
   require(maxE <= 30, s"motifs of up to 30 edges are supported, got $maxE")
@@ -69,19 +71,16 @@ final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new 
   private val Degs   = Verts + maxV
   private val stride = Degs + maxV
 
-  // Edge block layout: endpoints, labels, whether still in the window, the
-  // next older window edge with the same endpoints (or -1), and the match
-  // count when it arrived. The ring's list of an edge holds the matches
-  // containing it.
+  // Edge block layout: endpoints, labels, whether still in the window, and
+  // the match count when it arrived. The ring's list of an edge holds the
+  // matches containing it.
   private val EU = 0; private val EV = 1; private val ELu = 2; private val ELv = 3
-  private val ELive = 4; private val ESame = 5; private val EFirst = 6
+  private val ELive = 4; private val EFirst = 5
 
-  private val edges     = new Ring(7)
+  private val edges     = new Ring(6)
   private var head      = 0 // oldest window edge; every edge below it is gone
   private var nextEdge  = 0
   private var liveEdges = 0
-  // (u, v) in arrival orientation -> newest window edge with those endpoints.
-  private val byEndpoints = new LongIntMap
 
   private val matches     = new Ring(stride)
   private var lowMatch    = 0 // every live match id is at least this
@@ -102,10 +101,8 @@ final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new 
   private val rem   = new Array[Int](math.max(1, maxE))
 
   private val alive: Int => Boolean = id => id >= lowMatch && matches.data(matches.at(id) + Live) == 1
-  private val matchNext: Int => Int   = id => matches.data(matches.at(id) + Next)
-  private val edgeNext: Int => Int    = e => edges.data(edges.at(e) + ESame)
-  private val edgeLive: Int => Boolean =
-    e => e >= head && e < nextEdge && edges.data(edges.at(e) + ELive) == 1
+  private def edgeLive(e: Int): Boolean =
+    e >= head && e < nextEdge && edges.data(edges.at(e) + ELive) == 1
 
   def windowSize: Int = liveEdges
   def matchCount: Int = liveMatches
@@ -120,28 +117,18 @@ final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new 
   /** Insert a motif-compatible edge (dense endpoints `u`, `v` with label
     * ids `lu`, `lv`) into the window, discovering all new motif matches it
     * creates (Alg. 2). `node` is the single-edge motif of its label pair
-    * ([[MotifIndex.singleEdge]]). An edge already in the window with the same
-    * endpoints and labels in the same orientation is rejected.
+    * ([[MotifIndex.singleEdge]]). The edge's id is its arrival number.
     *
     * Returns the number of matches added.
     */
   def insert(u: Int, lu: Int, v: Int, lv: Int, node: Int): Int = {
-    val key = (u.toLong << 32) | v
-    var j   = byEndpoints.get(key)
-    while (j >= head) {
-      val b = edges.at(j)
-      require(!(edges.data(b + ELive) == 1 && edges.data(b + ELu) == lu && edges.data(b + ELv) == lv),
-              s"duplicate stream edge ${decodeEdge(j)}")
-      j = edgeNext(j)
-    }
     val e = nextEdge
     edges.reserve(head, e)
     val b = edges.at(e)
     val d = edges.data
     d(b + EU) = u; d(b + EV) = v; d(b + ELu) = lu; d(b + ELv) = lv
-    d(b + ELive) = 1; d(b + ESame) = byEndpoints.get(key); d(b + EFirst) = nextMatch
+    d(b + ELive) = 1; d(b + EFirst) = nextMatch
     edges.lists.clear(e & edges.mask)
-    byEndpoints.put(key, e)
     nextEdge += 1
     liveEdges += 1
 
@@ -337,7 +324,7 @@ final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new 
     var m   = bySet.get(h)
     while (m >= lowMatch) {
       if (alive(m) && sameEdges(m, level, off)) return false
-      m = matchNext(m)
+      m = matches.data(matches.at(m) + Next)
     }
     val id = nextMatch
     matches.reserve(lowMatch, id)
@@ -359,23 +346,19 @@ final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new 
     true
   }
 
-  /** `index` maps `key` to the newest of a chain of ids linked by `next`;
-    * id x has just died. If x headed the chain, the newest live id after it
-    * (at least `low`) heads it instead, or the key goes.
+  /** Mark match m dead. If it headed its hash's chain in [[bySet]], the
+    * newest live match after it heads the chain instead, or the hash goes.
     */
-  private def unlink(index: LongIntMap, key: Long, x: Int, low: Int,
-                     next: Int => Int, live: Int => Boolean): Unit =
-    if (index.get(key) == x) {
-      var j = next(x)
-      while (j >= low && !live(j)) j = next(j)
-      if (j >= low) index.put(key, j) else index.remove(key)
-    }
-
   private def kill(m: Int): Unit = {
     val mb = matches.at(m)
     matches.data(mb + Live) = 0
     liveMatches -= 1
-    unlink(bySet, setHash(matches.data, mb), m, lowMatch, matchNext, alive)
+    val h = setHash(matches.data, mb)
+    if (bySet.get(h) == m) {
+      var j = matches.data(mb + Next)
+      while (j >= lowMatch && !alive(j)) j = matches.data(matches.at(j) + Next)
+      if (j >= lowMatch) bySet.put(h, j) else bySet.remove(h)
+    }
   }
 
   // ---- eviction ----
@@ -426,70 +409,9 @@ final class MotifMatcher(val motifs: MotifIndex, val vertexIds: VertexIds = new 
     edges.lists.clear(slot)
     d(b + ELive) = 0
     liveEdges -= 1
-    unlink(byEndpoints, (d(b + EU).toLong << 32) | d(b + EV), e, head, edgeNext, edgeLive)
     while (head < nextEdge && d(edges.at(head) + ELive) == 0) head += 1
     lowMatch = if (head < nextEdge) d(edges.at(head) + EFirst) else nextMatch
   }
-
-  // ---- decoded views (tests and inspection) ----
-
-  private def decodeEdge(e: Int): LEdge = {
-    val b = edges.at(e)
-    val d = edges.data
-    LEdge(vertexIds.external(d(b + EU)), motifs.labelName(d(b + ELu)),
-          vertexIds.external(d(b + EV)), motifs.labelName(d(b + ELv)))
-  }
-
-  private def decodeMatch(m: Int): MotifMatch = {
-    val mb = matches.at(m)
-    MotifMatch(m, Vector.tabulate(matches.data(mb + NE))(j => decodeEdge(matches.data(mb + Edges + j))),
-               motifs.motif(matches.data(mb + Node)))
-  }
-
-  /** Id of window edge e, or -1 if e is not in the window. */
-  private def edgeId(e: LEdge): Int = {
-    val (u, v) = (vertexIds.find(e.u), vertexIds.find(e.v))
-    var j = if (u < 0 || v < 0) -1 else byEndpoints.get((u.toLong << 32) | v)
-    while (j >= head && !(edgeLive(j) && decodeEdge(j) == e)) j = edgeNext(j)
-    if (j >= head) j else -1
-  }
-
-  /** Window edges in arrival order. */
-  def windowEdges: Vector[LEdge] = (head until nextEdge).filter(edgeLive).map(decodeEdge).toVector
-
-  def oldestEdge: Option[LEdge] = if (liveEdges == 0) None else Some(decodeEdge(head))
-
-  /** Live matches containing vertex v, in registration order. */
-  def matchesAt(v: VId): Vector[MotifMatch] = {
-    val d = vertexIds.find(v)
-    (lowMatch until nextMatch).filter(m => alive(m) && degree(matches.data, matches.at(m), d) > 0)
-      .map(decodeMatch).toVector
-  }
-
-  /** All live matches that contain edge e, in registration order. */
-  def matchesContaining(e: LEdge): Vector[MotifMatch] = {
-    val c = containing(edgeId(e))
-    Vector.tabulate(c.count)(i => decodeMatch(c.id(i)))
-  }
-
-  /** Check whether a lone stream edge matches a single-edge motif. If not,
-    * the caller assigns it immediately and never adds it to the window.
-    */
-  def singleEdgeMotif(e: LEdge): Option[TPSTry#Node] = motifs.matchSingleEdge(e)
-
-  /** [[insert]] for an external edge; `singleNode` must be the node
-    * returned by [[singleEdgeMotif]] for e.
-    */
-  def insert(e: LEdge, singleNode: TPSTry#Node): Int = {
-    val u  = vertexIds.id(e.u)
-    val lu = motifs.label(e.uLabel)
-    val v  = vertexIds.id(e.v)
-    val lv = motifs.label(e.vLabel)
-    insert(u, lu, v, lv, motifs.motifId(singleNode))
-  }
-
-  /** Remove the given window edges and every match containing one. */
-  def removeEdges(es: Iterable[LEdge]): Unit = es.foreach(e => removeEdge(edgeId(e)))
 }
 
 /** Fixed-stride `Int` blocks for the ids of a sliding range [low, next): id

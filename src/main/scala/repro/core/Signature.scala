@@ -41,25 +41,45 @@ object Signature {
     def of(fs: Int*): Sig             = of(fs.toVector)
   }
 
-  /** Assigns each label a distinct pseudo-random value r(l) ∈ [1, p).
+  /** The one label table: interns each label to an id 0, 1, 2, … in
+    * first-use order and assigns it a distinct pseudo-random value
+    * r(l) = `pool(id)` ∈ [1, p), where the pool is a seeded shuffle of
+    * [1, p).
     *
-    * Values are drawn from a seeded shuffle so that a given (p, seed) yields
-    * the same coder everywhere (trie construction and stream matching must
-    * agree). Labels are registered lazily, in first-use order; callers that
-    * need cross-JVM stability should register labels in a fixed order first.
-    * Not thread-safe: each Loom builds its own coder.
+    * A given (p, seed) and registration order give the same values
+    * everywhere, so trie construction and stream matching agree. Loom
+    * registers the workload's labels while it builds the trie, then each
+    * stream label on first use (u before v); callers that need cross-JVM
+    * stability should register labels in a fixed order first. The factor
+    * tables of [[MotifIndex]] are indexed by these ids. Not thread-safe:
+    * each Loom builds its own coder.
     */
   final class LabelCoder(val p: Int = DefaultP, seed: Long = 42L) {
     require(p >= 2, "p must be at least 2")
-    private val pool    = new Random(seed).shuffle((1 until p).toVector)
-    private val values  = scala.collection.mutable.LinkedHashMap.empty[String, Int]
+    private val pool = new Random(seed).shuffle((1 until p).toVector).toArray
+    private val ids  = scala.collection.mutable.HashMap.empty[String, Int]
+
+    /** Id of label l (registered on first use). */
+    def id(label: String): Int =
+      ids.getOrElseUpdate(label, {
+        require(ids.size < pool.length, s"more labels than available values in [1,$p)")
+        ids.size
+      })
+
+    /** Number of labels registered so far: their ids are 0 until size. */
+    def size: Int = ids.size
 
     /** r(l): the random value for label l (registered on first use). */
-    def r(label: String): Int =
-      values.getOrElseUpdate(label, {
-        require(values.size < pool.size, s"more labels than available values in [1,$p)")
-        pool(values.size)
-      })
+    def r(label: String): Int = pool(id(label))
+
+    /** [[Signature.edgeFactor]] of the labels with ids a and b. */
+    def edgeFactor(a: Int, b: Int): Int = nonZero(math.abs(pool(a) - pool(b)), p)
+
+    /** [[Signature.degreeFactor]] of the label with id a. */
+    def degreeFactor(a: Int, k: Int): Int = {
+      require(k >= 1, "degree factors start at k = 1")
+      nonZero(pool(a) + k, p)
+    }
   }
 
   /** Map x into [1, p]: the paper does not consider 0 a valid factor and
@@ -77,20 +97,16 @@ object Signature {
     * we use the order-normalised difference, which is symmetric as required
     * for undirected edges.
     */
-  def edgeFactor(la: String, lb: String)(implicit coder: LabelCoder): Int = {
-    val (x, y) = (coder.r(la), coder.r(lb))
-    nonZero(math.max(x, y) - math.min(x, y), coder.p)
-  }
+  def edgeFactor(la: String, lb: String)(implicit coder: LabelCoder): Int =
+    coder.edgeFactor(coder.id(la), coder.id(lb))
 
   /** The k-th degree factor for a vertex with label l: (r(l) + k) mod p.
     *
     * A vertex of degree n contributes factors for k = 1..n; raising a degree
     * from n−1 to n adds exactly `degreeFactor(l, n)`.
     */
-  def degreeFactor(l: String, k: Int)(implicit coder: LabelCoder): Int = {
-    require(k >= 1, "degree factors start at k = 1")
-    nonZero(coder.r(l) + k, coder.p)
-  }
+  def degreeFactor(l: String, k: Int)(implicit coder: LabelCoder): Int =
+    coder.degreeFactor(coder.id(l), k)
 
   /** Factors added to sub-graph g's signature by adding edge e (paper's
     * fac(e, g)): one edge factor plus one new degree factor per endpoint.

@@ -53,9 +53,6 @@ final class TPSTry(implicit val coder: LabelCoder) {
   /** Look up a node by full signature. */
   def node(sig: Sig): Option[Node] = nodesBySig.get(sig)
 
-  /** Total workload frequency mass added so far. */
-  def weight: Double = totalWeight
-
   /** Add a query graph with the given workload frequency (Alg. 1).
     *
     * Enumerates every connected sub-graph of q exactly once, breadth-first
@@ -113,20 +110,18 @@ object TPSTry {
   * Only trie nodes with support ≥ threshold are visible; since support is
   * antitone along trie edges, the visible nodes form a prefix-closed sub-DAG.
   *
-  * The matcher's hot path reads this index through primitive tables only:
+  * The matcher reads this index through primitive tables only:
   *   - motif nodes are numbered 0 until `motifs.size`, in trie order;
   *   - each motif node's links to motif children are keyed by the
-  *     [[Signature.packed]] delta (an `Int`);
-  *   - labels are interned to `Int`s through a local table ([[label]]), and
-  *     the edge factor of every label pair and the degree factors of every
-  *     label up to [[maxMotifEdges]] are tabulated as labels are interned, so
-  *     `fac` is three table reads and a three-way sort;
-  *   - the single-edge motif of a label pair is resolved on its first use
-  *     through [[Signature.fac]], so any collision of a stream edge's
-  *     signature with a motif's is kept exactly as `fac` decides it.
-  *
-  * Interning a label registers it with the trie's [[Signature.LabelCoder]],
-  * so labels outside the workload get their values in first-use order.
+  *     [[Signature.packed]] delta (an `Int`), and so are the root's links to
+  *     the single-edge motifs, in one more row: a single-edge node's
+  *     signature is its root delta, so [[singleEdge]] is one [[fac]] and one
+  *     lookup, and a stream edge whose delta collides with a motif's
+  *     resolves to that motif;
+  *   - labels are the ids of the trie's [[Signature.LabelCoder]], and the
+  *     edge factor of every label pair and the degree factors of every
+  *     label up to [[maxMotifEdges]] are tabulated by id, so `fac` is three
+  *     table reads and a three-way sort.
   */
 final class MotifIndex(val trie: TPSTry, val threshold: Double) {
   require(threshold > 0 && threshold <= 1, "threshold must be in (0, 1]")
@@ -137,37 +132,22 @@ final class MotifIndex(val trie: TPSTry, val threshold: Double) {
   /** All motif nodes; a node's position is its id. */
   val motifs: Vector[TPSTry#Node] = trie.nodes.filter(_.support >= threshold)
 
-  private val motifIds: Map[TPSTry#Node, Int] = motifs.zipWithIndex.toMap
-
   /** Size in edges of the largest motif (bounds match growth). */
   val maxMotifEdges: Int = motifs.map(_.sizeEdges).maxOption.getOrElse(0)
 
   private val supports: Array[Double] = motifs.map(_.support).toArray
 
-  // Per motif node: packed deltas of its links to motif children, and the
-  // ids of those children.
-  private val childDeltas: Array[Array[Int]] =
-    motifs.map(_.children.collect { case (d, c) if motifIds.contains(c) => Signature.packed(d) }.toArray).toArray
-  private val childIds: Array[Array[Int]] =
-    motifs.map(_.children.collect { case (_, c) if motifIds.contains(c) => motifIds(c) }.toArray).toArray
-
-  private val singleEdgeMotifs: Map[Sig, TPSTry#Node] =
-    trie.root.children.collect {
-      case (_, n) if n.support >= threshold => n.sig -> n
-    }.toMap
-
-  /** Labels that occur in at least one single-edge motif: vertices with
-    * these labels can still become part of a motif match later in the
-    * stream.
-    */
-  private val motifLabels: Set[String] =
-    singleEdgeMotifs.values.flatMap(_.representative.labels).toSet
+  // Per motif node, then for the root (row `Root`): packed deltas of its
+  // links to motif children, and the ids of those children.
+  private val Root = motifs.size
+  private val (childDeltas, childIds) = {
+    val ids   = motifs.zipWithIndex.toMap
+    val links = (motifs :+ trie.root).map(_.children.filter(l => ids.contains(l._2)).toArray)
+    (links.map(_.map(l => Signature.packed(l._1))).toArray, links.map(_.map(l => ids(l._2))).toArray)
+  }
 
   /** Support of motif node `n`. */
   def support(n: Int): Double = supports(n)
-
-  /** Motif node `n` of the trie. */
-  def motif(n: Int): TPSTry#Node = motifs(n)
 
   /** Motif child of motif node `n` along packed delta `delta`, or -1. */
   def child(n: Int, delta: Int): Int = {
@@ -177,95 +157,66 @@ final class MotifIndex(val trie: TPSTry, val threshold: Double) {
     if (i < ds.length) childIds(n)(i) else -1
   }
 
+  /** Single-edge motif matched by an edge with endpoint label ids `lu`,
+    * `lv`, or -1 if its label pair is not a motif.
+    */
+  def singleEdge(lu: Int, lv: Int): Int = child(Root, fac(lu, 0, lv, 0))
+
   // ---- labels and their factor tables ----
 
-  private val labelIds = new java.util.HashMap[String, Integer]
-  private var names    = Vector.empty[String]
-  private var isMotif  = Array.emptyBooleanArray
-  // Tables over label ids, `cap` labels per row: the edge factor of a label
-  // pair, the degree factor of a label at degrees 1..maxMotifEdges, and the
-  // single-edge motif of an ordered label pair (Unresolved until first use).
-  private var cap         = 0
-  private var edgeFactors = Array.emptyIntArray
-  private var degFactors  = Array.emptyIntArray
-  private var singles     = Array.emptyIntArray
-  private val degStride   = maxMotifEdges + 1
-  private val Unresolved  = -2
-
-  /** Interned id of label `l`, registering it on first use. */
-  def label(l: String): Int = {
-    val id = labelIds.get(l)
-    if (id != null) id else intern(l)
+  // Labels of the single-edge motifs, by id: vertices with these labels can
+  // still become part of a motif match later in the stream. Every one was
+  // registered while the trie was built.
+  private val motifLabels: Array[Boolean] = {
+    val a = new Array[Boolean](coder.size)
+    for (n <- childIds(Root); l <- motifs(n).representative.labels) a(coder.id(l)) = true
+    a
   }
 
-  /** Label `l`'s name. */
-  def labelName(l: Int): String = names(l)
+  // Tables over the coder's label ids, `cap` labels per row, filled for the
+  // first `known` ids: the edge factor of a label pair and the degree factor
+  // of a label at degrees 1..degStride - 1.
+  private val degStride   = math.max(1, maxMotifEdges) + 1
+  private var cap         = 0
+  private var known       = 0
+  private var edgeFactors = Array.emptyIntArray
+  private var degFactors  = Array.emptyIntArray
+  tabulate()
 
-  /** True if label `l` occurs in a single-edge motif. */
-  def isMotifLabel(l: Int): Boolean = isMotif(l)
-
-  private def intern(l: String): Int = {
-    coder.r(l)
-    val id = names.size
-    labelIds.put(l, id)
-    names :+= l
-    isMotif = java.util.Arrays.copyOf(isMotif, id + 1)
-    isMotif(id) = motifLabels.contains(l)
-    if (id >= cap) {
-      val old = (cap, singles)
-      cap = math.max(8, 2 * cap)
-      edgeFactors = new Array[Int](cap * cap)
-      degFactors = new Array[Int](cap * degStride)
-      singles = Array.fill(cap * cap)(Unresolved)
-      for (a <- 0 until old._1; b <- 0 until old._1) singles(a * cap + b) = old._2(a * old._1 + b)
-      (0 until id).foreach(tabulate)
-    }
-    tabulate(id)
+  /** The coder's id of label `l`, registering it on first use. */
+  def label(l: String): Int = {
+    val id = coder.id(l)
+    if (id >= known) tabulate()
     id
   }
 
-  /** Fill label `a`'s rows of the factor tables against every label so far. */
-  private def tabulate(a: Int): Unit = {
-    implicit val c: LabelCoder = coder
-    for (b <- 0 to a) {
-      val f = Signature.edgeFactor(names(a), names(b))
-      edgeFactors(a * cap + b) = f
-      edgeFactors(b * cap + a) = f
+  /** True if label `l` occurs in a single-edge motif. */
+  def isMotifLabel(l: Int): Boolean = l < motifLabels.length && motifLabels(l)
+
+  /** Extend the factor tables to every label the coder has registered. */
+  private def tabulate(): Unit = {
+    val n = coder.size
+    if (n > cap) {
+      cap = math.max(8, math.max(2 * cap, n))
+      edgeFactors = new Array[Int](cap * cap)
+      degFactors = new Array[Int](cap * degStride)
+      known = 0
     }
-    for (k <- 1 to maxMotifEdges) degFactors(a * degStride + k) = Signature.degreeFactor(names(a), k)
+    for (a <- known until n) {
+      for (b <- 0 to a) {
+        val f = coder.edgeFactor(a, b)
+        edgeFactors(a * cap + b) = f
+        edgeFactors(b * cap + a) = f
+      }
+      for (k <- 1 until degStride) degFactors(a * degStride + k) = coder.degreeFactor(a, k)
+    }
+    known = n
   }
 
-  /** Packed fac(e, g) for an edge e with endpoint labels `lu`, `lv` whose
+  /** Packed fac(e, g) for an edge e with endpoint label ids `lu`, `lv` whose
     * endpoints have degrees `du`, `dv` (< [[maxMotifEdges]]) in g.
     */
   def fac(lu: Int, du: Int, lv: Int, dv: Int): Int =
     Signature.packed(edgeFactors(lu * cap + lv),
                      degFactors(lu * degStride + du + 1), degFactors(lv * degStride + dv + 1))
-
-  /** Single-edge motif matched by an edge with endpoint labels `lu`, `lv`,
-    * or -1 if its label pair is not a motif.
-    */
-  def singleEdge(lu: Int, lv: Int): Int = {
-    val i = lu * cap + lv
-    if (singles(i) == Unresolved) {
-      val sig = Signature.fac(LEdge(0L, names(lu), 1L, names(lv)), SubGraph.empty)(coder)
-      singles(i) = singleEdgeMotifs.get(sig).fold(-1)(motifIds)
-    }
-    singles(i)
-  }
-
-  // ---- decoded views ----
-
-  /** Motif node matched by a lone stream edge, if its label pair is a motif. */
-  def matchSingleEdge(e: LEdge): Option[TPSTry#Node] = {
-    val n = singleEdge(label(e.uLabel), label(e.vLabel))
-    if (n < 0) None else Some(motifs(n))
-  }
-
-  /** Motif child of node n along factor-delta `delta`, if one exists. */
-  def motifChild(n: TPSTry#Node, delta: Sig): Option[TPSTry#Node] =
-    motifIds.get(n).map(child(_, Signature.packed(delta))).filter(_ >= 0).map(motifs)
-
-  /** Id of motif node `n`, or -1 if `n` is not a motif. */
-  def motifId(n: TPSTry#Node): Int = motifIds.getOrElse(n, -1)
 }

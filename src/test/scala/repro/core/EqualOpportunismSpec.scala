@@ -8,6 +8,7 @@ import repro.partition.PartitionState
 /** Equal-opportunism tests (paper §4, eqs. 1–3 and the worked example). */
 class EqualOpportunismSpec extends SparkSpec {
   import EqualOpportunism._
+  import EqualOpportunismSpec.TestMatch
   import QueryGraph._
 
   private implicit val coder: LabelCoder = new LabelCoder()
@@ -16,7 +17,7 @@ class EqualOpportunismSpec extends SparkSpec {
   private val noNeighbours: (Int, Int) => Int = (_, _) => 0
 
   /** Equal opportunism's view of `ms`, with vertex ids encoded by `s`. */
-  private def view(s: PartitionState, ms: Seq[MotifMatch]): Matches = new Matches {
+  private def view(s: PartitionState, ms: Seq[TestMatch]): Matches = new Matches {
     private val vs = ms.map(_.vertices.map(s.ids.id).toArray).toVector
     def count: Int                  = ms.size
     def support(i: Int): Double     = ms(i).support
@@ -24,11 +25,11 @@ class EqualOpportunismSpec extends SparkSpec {
     def vertexCount(i: Int): Int    = vs(i).length
     def vertex(i: Int, j: Int): Int = vs(i)(j)
   }
-  private def view(s: PartitionState, m: MotifMatch): Matches = view(s, Vector(m))
+  private def view(s: PartitionState, m: TestMatch): Matches = view(s, Vector(m))
 
   /** `allocate` over `ms`, with the chosen matches returned as matches. */
-  private def allocateOf(s: PartitionState, ms: Vector[MotifMatch],
-                         n: (Int, Int) => Int): (Allocation, Vector[MotifMatch]) = {
+  private def allocateOf(s: PartitionState, ms: Vector[TestMatch],
+                         n: (Int, Int) => Int): (Allocation, Vector[TestMatch]) = {
     val out = allocate(s, view(s, ms), n)
     (out, out.chosen.map(ms).toVector)
   }
@@ -46,7 +47,7 @@ class EqualOpportunismSpec extends SparkSpec {
     s
   }
 
-  private def mkMatch(support: Double, edges: LEdge*): MotifMatch = {
+  private def mkMatch(support: Double, edges: LEdge*): TestMatch = {
     // Build a one-query trie whose root child has the wanted support by
     // mixing in a dummy query; simpler: fabricate via a trie with two queries.
     val trie = new TPSTry
@@ -54,7 +55,7 @@ class EqualOpportunismSpec extends SparkSpec {
     trie.add(q, support)
     if (support < 1.0) trie.add(path("zz", "zz"), 1.0 - support) // absorbs remaining mass
     val sig  = ofSubGraph(SubGraph(edges.toSet))
-    MotifMatch(0, edges.toVector, trie.node(sig).get)
+    TestMatch(edges.toVector, trie.node(sig).get)
   }
 
   // ---------- ration l (eq. 2, corrected) ----------
@@ -219,5 +220,15 @@ class EqualOpportunismSpec extends SparkSpec {
     assert(out.winner == 0)
     assert(out.chosen == Vector(0, 1, 2))
     assert(chosen == ms.take(3))
+  }
+}
+
+object EqualOpportunismSpec {
+
+  /** A motif match as these tests build it: its edges and its trie node. */
+  final case class TestMatch(edges: Vector[LEdge], node: TPSTry#Node) {
+    def size: Int             = edges.size
+    def support: Double       = node.support
+    def vertices: Vector[VId] = edges.flatMap(e => Vector(e.u, e.v)).distinct
   }
 }

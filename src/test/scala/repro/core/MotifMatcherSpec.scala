@@ -4,14 +4,20 @@ import org.scalacheck.Gen
 import repro.{GenDriven, SparkSpec}
 import repro.core.Model._
 import repro.core.Signature._
+import repro.partition.VertexIds
 
 /** Motif matcher tests (paper §3, Alg. 2, Fig. 5).
   *
   * The key oracle: after streaming any window of motif-compatible edges, the
   * matchList must contain exactly the connected sub-graphs of the window
   * whose signature equals a motif's signature (brute-force enumeration).
+  *
+  * The matcher speaks dense ids only; [[Fed]] encodes a test stream for it
+  * and decodes its answers: a fresh matcher's edge ids are arrival numbers,
+  * so edge id i is the stream's edge i.
   */
 class MotifMatcherSpec extends SparkSpec with GenDriven {
+  import MotifMatcherSpec.Found
   import QueryGraph._
 
   private def mkIndex(w: Workload, threshold: Double = 0.4)
@@ -43,38 +49,61 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     found.toSet
   }
 
-  /** Stream edges through a matcher, returning it (all edges must be motif-
-    * compatible single edges).
-    */
-  private def streamAll(edges: Vector[LEdge], index: MotifIndex): MotifMatcher = {
-    val m = new MotifMatcher(index)
-    edges.foreach { e =>
-      val node = m.singleEdgeMotif(e)
-      assert(node.isDefined, s"test stream edge $e must match a single-edge motif")
-      m.insert(e, node.get)
+  /** A fresh matcher and the stream fed to it so far. */
+  private final class Fed(index: MotifIndex) {
+    val m           = new MotifMatcher(index)
+    private val ids = new VertexIds
+    var stream      = Vector.empty[LEdge]
+
+    /** Insert e (it must match a single-edge motif); returns its edge id. */
+    def insert(e: LEdge): Int = {
+      val (lu, lv) = (index.label(e.uLabel), index.label(e.vLabel))
+      val node     = index.singleEdge(lu, lv)
+      assert(node >= 0, s"test stream edge $e must match a single-edge motif")
+      m.insert(ids.id(e.u), lu, ids.id(e.v), lv, node)
+      stream :+= e
+      stream.size - 1
     }
-    m
+
+    /** Live matches containing edge id e, in registration order. */
+    def containing(e: Int): Vector[Found] = {
+      val c = m.containing(e)
+      Vector.tabulate(c.count)(i => Found(c.id(i), Vector.tabulate(c.size(i))(j => stream(c.edge(i, j)))))
+    }
+
+    /** Ids of the window edges, in arrival order. */
+    def window: Vector[Int] = stream.indices.filter(e => m.containing(e).count > 0).toVector
+
+    /** Every live match, by id. */
+    def all: Vector[Found] = window.flatMap(containing).distinct.sortBy(_.id)
+
+    def matchSets: Set[Set[LEdge]] = all.map(_.edges.toSet).toSet
+
+    /** Live matches with vertex v, in registration order. */
+    def at(v: VId): Vector[Found] = all.filter(_.edges.exists(_.contains(v)))
   }
 
-  private def allMatchSets(m: MotifMatcher): Set[Set[LEdge]] =
-    m.windowEdges.flatMap(e => m.matchesContaining(e)).map(_.edges.toSet).toSet
+  /** Stream edges through a fresh matcher. */
+  private def streamAll(edges: Vector[LEdge], index: MotifIndex): Fed = {
+    val f = new Fed(index)
+    edges.foreach(f.insert)
+    f
+  }
 
   test("single-edge motif match populates matchList for both endpoints (Fig. 5, e1)") {
     implicit val c: LabelCoder = new LabelCoder()
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0)))
-    val m     = new MotifMatcher(index)
     val e1    = LEdge(1, "a", 2, "b")
-    m.insert(e1, m.singleEdgeMotif(e1).get)
-    assert(m.matchesAt(1).map(_.edges.toSet) == Vector(Set(e1)))
-    assert(m.matchesAt(2).map(_.edges.toSet) == Vector(Set(e1)))
-    assert(m.windowSize == 1)
+    val f     = streamAll(Vector(e1), index)
+    assert(f.at(1).map(_.edges.toSet) == Vector(Set(e1)))
+    assert(f.at(2).map(_.edges.toSet) == Vector(Set(e1)))
+    assert(f.m.windowSize == 1)
   }
 
   test("non-motif edges are rejected before the window (Fig. 5 semantics)") {
     implicit val c: LabelCoder = new LabelCoder()
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0)))
-    val m     = new MotifMatcher(index)
-    assert(m.singleEdgeMotif(LEdge(1, "b", 2, "c")).isEmpty)
+    assert(index.singleEdge(index.label("b"), index.label("c")) < 0)
   }
 
   test("growing a single-edge match by an incident edge finds the 2-edge motif") {
@@ -82,15 +111,15 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0)))
     val e1    = LEdge(1, "a", 2, "b")
     val e2    = LEdge(3, "a", 2, "b")
-    val m     = streamAll(Vector(e1, e2), index)
-    val sets  = allMatchSets(m)
+    val f     = streamAll(Vector(e1, e2), index)
+    val sets  = f.matchSets
     assert(sets.contains(Set(e1)))
     assert(sets.contains(Set(e2)))
     assert(sets.contains(Set(e1, e2)), "a-b-a match must be discovered")
     // The 2-edge match is registered for all three vertices.
-    assert(m.matchesAt(1).exists(_.edges.toSet == Set(e1, e2)))
-    assert(m.matchesAt(2).exists(_.edges.toSet == Set(e1, e2)))
-    assert(m.matchesAt(3).exists(_.edges.toSet == Set(e1, e2)))
+    assert(f.at(1).exists(_.edges.toSet == Set(e1, e2)))
+    assert(f.at(2).exists(_.edges.toSet == Set(e1, e2)))
+    assert(f.at(3).exists(_.edges.toSet == Set(e1, e2)))
   }
 
   test("non-incident edges do not combine") {
@@ -98,8 +127,8 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0)))
     val e1    = LEdge(1, "a", 2, "b")
     val e2    = LEdge(30, "a", 40, "b")
-    val m     = streamAll(Vector(e1, e2), index)
-    assert(!allMatchSets(m).contains(Set(e1, e2)))
+    val f     = streamAll(Vector(e1, e2), index)
+    assert(!f.matchSets.contains(Set(e1, e2)))
   }
 
   test("pair joining: three-edge motif formed by combining two matches (Fig. 5, e5)") {
@@ -109,8 +138,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val e1 = LEdge(1, "b", 2, "a")   // b-a
     val e2 = LEdge(3, "b", 4, "a")   // b-a (disconnected from e1 for now)
     val e5 = LEdge(2, "a", 3, "b")   // bridges them
-    val m  = streamAll(Vector(e1, e2, e5), index)
-    val sets = allMatchSets(m)
+    val sets = streamAll(Vector(e1, e2, e5), index).matchSets
     assert(sets.contains(Set(e1, e5)), "2-edge sub-motif via grow")
     assert(sets.contains(Set(e2, e5)), "2-edge sub-motif via grow")
     assert(sets.contains(Set(e1, e2, e5)), "3-edge motif via pair join")
@@ -128,8 +156,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
       LEdge(1, "a", 2, "b"), LEdge(3, "a", 2, "b"), LEdge(3, "a", 4, "b"),
       LEdge(5, "a", 4, "b"), LEdge(5, "a", 2, "b"), LEdge(6, "a", 4, "b"),
     )
-    val m = streamAll(edges, index)
-    assert(allMatchSets(m) == bruteMatches(edges, index))
+    assert(streamAll(edges, index).matchSets == bruteMatches(edges, index))
   }
 
   test("property: matchList equals brute-force enumeration on random streams") {
@@ -148,8 +175,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
       } yield LEdge(ua.toLong, "a", vb.toLong, "b"))
     } yield es.distinct.toVector
     forAllG(edgeGen, n = 40) { es =>
-      val m = streamAll(es, index)
-      assert(allMatchSets(m) == bruteMatches(es, index),
+      assert(streamAll(es, index).matchSets == bruteMatches(es, index),
              s"mismatch for stream $es")
     }
   }
@@ -159,33 +185,24 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0)))
     val e1 = LEdge(1, "a", 2, "b")
     val e2 = LEdge(3, "a", 2, "b")
-    val m  = streamAll(Vector(e1, e2), index)
-    m.removeEdges(Set(e1))
-    assert(m.windowSize == 1)
-    val sets = allMatchSets(m)
+    val f  = streamAll(Vector(e1, e2), index)
+    f.m.removeEdge(0)
+    assert(f.m.windowSize == 1)
+    val sets = f.matchSets
     assert(sets == Set(Set(e2)), s"only e2's single-edge match should remain: $sets")
-    assert(m.matchesAt(1).isEmpty)
+    assert(f.at(1).isEmpty)
   }
 
   test("oldestEdge follows insertion order across removals") {
     implicit val c: LabelCoder = new LabelCoder()
     val index = mkIndex(Workload(Vector(singleEdge("a", "b") -> 1.0)))
     val es = Vector(LEdge(1, "a", 2, "b"), LEdge(3, "a", 4, "b"), LEdge(5, "a", 6, "b"))
-    val m  = streamAll(es, index)
-    assert(m.oldestEdge.contains(es(0)))
-    m.removeEdges(Set(es(0)))
-    assert(m.oldestEdge.contains(es(1)))
-    m.removeEdges(Set(es(1)))
-    assert(m.oldestEdge.contains(es(2)))
-  }
-
-  test("duplicate stream edges are rejected") {
-    implicit val c: LabelCoder = new LabelCoder()
-    val index = mkIndex(Workload(Vector(singleEdge("a", "b") -> 1.0)))
-    val m  = new MotifMatcher(index)
-    val e  = LEdge(1, "a", 2, "b")
-    m.insert(e, m.singleEdgeMotif(e).get)
-    intercept[IllegalArgumentException] { m.insert(e, m.singleEdgeMotif(e).get) }
+    val m  = streamAll(es, index).m
+    assert(m.oldest == 0)
+    m.removeEdge(0)
+    assert(m.oldest == 1)
+    m.removeEdge(1)
+    assert(m.oldest == 2)
   }
 
   test("matches never exceed the largest motif size") {
@@ -196,8 +213,8 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
       if (i % 2 == 0) LEdge(i.toLong, "a", (i + 1).toLong, "b")
       else LEdge((i + 1).toLong, "a", i.toLong, "b")
     }.toVector
-    val m = streamAll(es, index)
-    m.windowEdges.flatMap(m.matchesContaining).foreach { mm =>
+    val f = streamAll(es, index)
+    f.window.flatMap(f.containing).foreach { mm =>
       assert(mm.size <= index.maxMotifEdges)
     }
   }
@@ -209,8 +226,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0, path("b", "a", "b") -> 1.0)))
     val e  = LEdge(1, "a", 2, "b")
     val es = Vector(e, LEdge(3, "a", 2, "b"), LEdge(1, "a", 4, "b"), LEdge(5, "a", 2, "b"))
-    val m  = streamAll(es, index)
-    val ms = m.matchesContaining(e)
+    val ms = streamAll(es, index).containing(0)
     assert(ms.map(_.id) == ms.map(_.id).sorted, "ids are registration numbers")
     // {e} on arrival, then each later edge's growth of it.
     assert(ms.map(_.edges) == Vector(Vector(e), Vector(e, es(1)), Vector(e, es(2)), Vector(e, es(3))))
@@ -221,10 +237,8 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
     val index = mkIndex(Workload(Vector(path("a", "b", "a") -> 1.0, path("b", "a", "b") -> 1.0)))
     val atA = LEdge(30, "a", 40, "b") // meets the new edge at its a-end
     val atB = LEdge(10, "a", 20, "b") // meets the new edge at its b-end
-    def grownOrder(e: LEdge): Vector[Vector[LEdge]] = {
-      val m = streamAll(Vector(atB, atA, e), index)
-      m.matchesContaining(e).filter(_.size == 2).map(_.edges)
-    }
+    def grownOrder(e: LEdge): Vector[Vector[LEdge]] =
+      streamAll(Vector(atB, atA, e), index).containing(2).filter(_.size == 2).map(_.edges)
     // The new edge's first endpoint is u: its growable matches grow first.
     assert(grownOrder(LEdge(30, "a", 20, "b")) ==
              Vector(Vector(atA, LEdge(30, "a", 20, "b")), Vector(atB, LEdge(30, "a", 20, "b"))))
@@ -235,13 +249,35 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
   test("a reversed duplicate enters the window as a second edge") {
     implicit val c: LabelCoder = new LabelCoder()
     val index = mkIndex(Workload(Vector(singleEdge("a", "b") -> 1.0)))
-    val e = LEdge(1, "a", 2, "b")
-    val m = streamAll(Vector(e, LEdge(2, "b", 1, "a")), index)
-    assert(m.windowSize == 2)
-    m.removeEdges(Set(e))
-    assert(m.windowEdges == Vector(LEdge(2, "b", 1, "a")))
+    val e   = LEdge(1, "a", 2, "b")
+    val rev = LEdge(2, "b", 1, "a")
+    val f   = streamAll(Vector(e, rev), index)
+    assert(f.m.windowSize == 2)
+    f.m.removeEdge(0)
+    assert(f.window.map(f.stream) == Vector(rev))
     // Once e has left the window, it may enter again.
-    m.insert(e, m.singleEdgeMotif(e).get)
-    assert(m.windowSize == 2)
+    f.insert(e)
+    assert(f.m.windowSize == 2)
+    // So may an exact duplicate of an edge still in the window: it is a
+    // second edge, with its own single-edge match, and either copy leaves
+    // without the other.
+    val dup = f.insert(e)
+    assert(f.m.windowSize == 3)
+    assert(f.window == Vector(1, 2, dup))
+    assert(f.containing(2).map(_.edges) == Vector(Vector(e)))
+    assert(f.containing(dup).map(_.edges) == Vector(Vector(e)))
+    f.m.removeEdge(2)
+    assert(f.window == Vector(1, dup))
+    assert(f.containing(dup).map(_.edges) == Vector(Vector(e)))
+  }
+}
+
+object MotifMatcherSpec {
+
+  /** A live match as the tests read it: its id (registration number) and
+    * its edges in insertion order.
+    */
+  final case class Found(id: Int, edges: Vector[LEdge]) {
+    def size: Int = edges.size
   }
 }

@@ -19,6 +19,17 @@ class TPSTrySpec extends SparkSpec {
   /** Full signature of a pattern. */
   private def sigOf(q: QueryGraph)(implicit c: LabelCoder): Sig = ofSubGraph(q.toSubGraph)
 
+  /** The motif child of trie node `n` along `delta` through the index's
+    * packed links, if `n` is a motif and the child is one.
+    */
+  private def motifChild(index: MotifIndex, n: TPSTry#Node, delta: Sig): Option[TPSTry#Node] =
+    Some(index.motifs.indexOf(n)).filter(_ >= 0)
+      .map(index.child(_, Signature.packed(delta))).filter(_ >= 0).map(index.motifs)
+
+  /** The single-edge motif of an edge with labels `la`, `lb`, if any. */
+  private def singleEdgeMotif(index: MotifIndex, la: String, lb: String): Option[TPSTry#Node] =
+    Some(index.singleEdge(index.label(la), index.label(lb))).filter(_ >= 0).map(index.motifs)
+
   /** Brute-force support: total frequency of queries containing `g`. */
   private def bruteSupport(g: QueryGraph, w: Workload): Double =
     w.queries.collect { case (q, f) if NaiveIso.containedIn(g, q) => f }.sum / w.totalFrequency
@@ -138,8 +149,9 @@ class TPSTrySpec extends SparkSpec {
     implicit val c: LabelCoder = coder()
     val w     = Workload(Vector(path("a", "b", "a") -> 1.0))
     val index = TPSTry.ofWorkload(w).motifIndex(0.4)
-    assert(index.matchSingleEdge(LEdge(7, "a", 9, "b")).isDefined)
-    assert(index.matchSingleEdge(LEdge(7, "b", 9, "c")).isEmpty)
+    assert(singleEdgeMotif(index, "a", "b").map(_.sig) == Some(sigOf(singleEdge("a", "b"))))
+    assert(singleEdgeMotif(index, "b", "a").map(_.sig) == Some(sigOf(singleEdge("a", "b"))))
+    assert(singleEdgeMotif(index, "b", "c").isEmpty)
   }
 
   test("motifChild follows factor deltas to motif children only") {
@@ -151,11 +163,13 @@ class TPSTrySpec extends SparkSpec {
     // Adding a second a to the b endpoint: delta for a-b-a.
     val g     = SubGraph.of(LEdge(1, "a", 2, "b"))
     val delta = fac(LEdge(3, "a", 2, "b"), g)
-    val child = index.motifChild(abNode, delta)
+    val child = motifChild(index, abNode, delta)
     assert(child.isDefined)
     assert(child.get.sizeEdges == 2)
+    // The index's own fac gives the same packed delta from label ids.
+    assert(index.fac(index.label("a"), 0, index.label("b"), 1) == Signature.packed(delta))
     // a-b-a has support 0.5 >= 0.4; at threshold 0.6 it must disappear.
-    assert(trie.motifIndex(0.6).motifChild(abNode, delta).isEmpty)
+    assert(motifChild(trie.motifIndex(0.6), abNode, delta).isEmpty)
   }
 
   test("incremental workload updates shift supports (evolving Q, §2)") {
@@ -220,9 +234,16 @@ class TPSTrySpec extends SparkSpec {
       assert(links.nonEmpty)
       links.foreach { case (n, delta, ch) =>
         assert(delta.size == 3, s"${d.name}: a trie delta has 3 factors: $delta")
-        assert(index.motifChild(n, delta) == Some(ch).filter(_.support >= 0.4),
+        assert(motifChild(index, n, delta) == Some(ch).filter(_.support >= 0.4),
                s"${d.name}: link $delta from $n")
         assert(n.child(delta).contains(ch))
+      }
+      // The root's links resolve each label pair's single-edge motif, in
+      // either orientation.
+      trie.root.children.foreach { case (_, ch) =>
+        val Vector(a, b) = ch.representative.labels
+        assert(singleEdgeMotif(index, a, b) == Some(ch).filter(_.support >= 0.4), s"${d.name}: $ch")
+        assert(singleEdgeMotif(index, b, a) == Some(ch).filter(_.support >= 0.4), s"${d.name}: $ch")
       }
       // Packing is injective on each node's links.
       trie.nodes.foreach { n =>

@@ -69,17 +69,4 @@ class ExperimentRunnerSpec extends SparkSpec {
       ExperimentRunner.makePartitioner("Metis", 2, 10, 10, w, 10)
     }
   }
-
-  test("every queryable dataset runs end-to-end at minimal scale") {
-    Datasets.queryable.foreach { ds =>
-      val e  = ds.generate(spark, 0.005).cache()
-      try {
-        val rs = ExperimentRunner.compareSystems(
-          ds, e, StreamOrder.Random, IptEvaluator.counts(e, Workloads.forDataset(ds.name)),
-          k = 2, windowSize = 50)
-        assert(rs.size == 4, s"${ds.name}")
-        rs.foreach(r => assert(r.weightedIpt >= 0))
-      } finally e.unpersist()
-    }
-  }
 }

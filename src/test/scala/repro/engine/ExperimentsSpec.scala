@@ -31,6 +31,7 @@ class ExperimentsSpec extends SparkSpec {
       yield (d.name, o.name, s)
     assert(rows.map { case (r, _) => (r.dataset, r.order, r.system) } == keys)
     assert(rows.forall { case (r, _) => r.k == 8 && r.window == window })
+    rows.foreach { case (r, _) => assert(r.weightedIpt >= 0, s"${r.dataset} ${r.order} ${r.system}") }
     val configs = Datasets.queryable.size * StreamOrder.all.size
     assert(Experiments.fig7Ratios(rows).size == configs)
     val table = Experiments.formatFig7(rows)

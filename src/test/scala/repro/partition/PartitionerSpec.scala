@@ -160,6 +160,31 @@ class PartitionerSpec extends SparkSpec {
     assert(math.abs(fMap.values.count(_ == 0) - 15) <= 3, "Fennel stays balanced")
   }
 
+  test("a vertex placed on its first edge: LDG = Fennel while Fennel's penalty gap is below 1") {
+    // A star streamed from its hub: each leaf arrives on its first edge with
+    // one seen neighbour, the hub on partition 0, and partition 1 is empty. LDG scores that partition
+    // 1·(1 − |S_0|/C) > 0 and the other 0, so it follows the hub while
+    // partition 0 is open. Fennel scores 1 − αγ√|S_0| against −αγ√|S_1|, so
+    // it follows the hub only while the gap αγ(√|S_0| − √|S_1|) is below 1.
+    val (k, n, m) = (2, 100L, 200L)
+    val alpha  = m * math.sqrt(k.toDouble) / math.pow(n.toDouble, 1.5)
+    val ldg    = new LdgPartitioner(k, n)
+    val fennel = new FennelPartitioner(k, n, m)
+    Seq(ldg, fennel).foreach(_.add(LEdge(1, "a", 2, "b")))
+    assert(ldg.state.toMap == Map(1L -> 0, 2L -> 0) && fennel.state.toMap == ldg.state.toMap)
+    val gaps = Iterator.from(3).map { leaf =>
+      val Vector(s0, s1) = fennel.state.sizes
+      val gap = alpha * FennelPartitioner.Gamma * (math.sqrt(s0.toDouble) - math.sqrt(s1.toDouble))
+      Seq(ldg, fennel).foreach(_.add(LEdge(1, "a", leaf.toLong, "b")))
+      assert(ldg.state.partitionOf(leaf.toLong).contains(0), s"LDG follows the hub: leaf $leaf")
+      if (gap < 1) assert(fennel.state.partitionOf(leaf.toLong).contains(0), s"gap $gap at leaf $leaf")
+      else assert(fennel.state.partitionOf(leaf.toLong).contains(1), s"gap $gap at leaf $leaf")
+      gap
+    }.takeWhile(_ < 1).toVector
+    // Leaves 3..6 agree (gaps 0.60 to 0.95); leaf 7 (gap 1.04) is where they first differ.
+    assert(gaps.size == 4, s"gaps $gaps")
+  }
+
   test("LDG and Fennel assign all stream vertices") {
     val stream = randomStream(300, 120, 4)
     val verts  = stream.flatMap(e => Seq(e.u, e.v)).toSet
