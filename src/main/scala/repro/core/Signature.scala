@@ -30,9 +30,6 @@ object Signature {
 
     /** Multiset union with another signature / factor delta. */
     def ++(that: Sig): Sig = Sig.of(factors ++ that.factors)
-
-    /** The big-integer product of the factors (paper §2.1's "signature"). */
-    def product: BigInt = factors.foldLeft(BigInt(1))(_ * _)
   }
 
   object Sig {

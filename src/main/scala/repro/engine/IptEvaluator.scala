@@ -1,6 +1,7 @@
 package repro.engine
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 import repro.core.Model._
 
@@ -61,15 +62,24 @@ object IptEvaluator {
   /** Per-edge match counts of `workload` over `edges`: the match rows of
     * every query are exploded into their edges, grouped by (query, edge) and
     * collected once.
+    *
+    * The queries match over a local checkpoint of `edges`, a snapshot whose
+    * logical plan is a leaf. `edges` is typically a cached generator output
+    * whose plan carries every expression that generated it, and Spark would
+    * analyse and render that plan again for each of the ~20 scans of the
+    * pattern SQL. The snapshot is released before this returns.
     */
   def counts(edges: DataFrame, workload: Workload): WorkloadCounts = {
-    val exploded = workload.queries.zipWithIndex.map { case ((q, _), qi) =>
-      val es = q.edges.indices.map(i => struct(col(s"x$i") as "x", col(s"y$i") as "y"))
-      PatternMatcher.matches(edges, q)
-        .select(lit(qi) as "q", explode(array(es: _*)) as "e")
-        .select(col("q"), col("e.x") as "x", col("e.y") as "y")
-    }.reduce(_ unionAll _)
-    val rows = exploded.groupBy("q", "x", "y").count().collect()
+    val snapshot = edges.localCheckpoint()
+    val rows = try {
+      val exploded = workload.queries.zipWithIndex.map { case ((q, _), qi) =>
+        val es = q.edges.indices.map(i => struct(col(s"x$i") as "x", col(s"y$i") as "y"))
+        PatternMatcher.matches(snapshot, q)
+          .select(lit(qi) as "q", explode(array(es: _*)) as "e")
+          .select(col("q"), col("e.x") as "x", col("e.y") as "y")
+      }.reduce(_ unionAll _)
+      exploded.groupBy("q", "x", "y").count().collect()
+    } finally release(snapshot)
     WorkloadCounts(workload, workload.queries.zipWithIndex.map { case ((q, _), qi) =>
       val mine = rows.filter(_.getInt(0) == qi)
       val c    = mine.map(_.getLong(3))
@@ -77,6 +87,15 @@ object IptEvaluator {
       EdgeCounts(c.sum / q.numEdges, mine.map(_.getLong(1)), mine.map(_.getLong(2)), c)
     })
   }
+
+  /** Frees the blocks of a local checkpoint. `Dataset.unpersist` does not:
+    * they belong to the RDD behind the snapshot's `LogicalRDD`.
+    */
+  private def release(snapshot: DataFrame): Unit =
+    snapshot.queryExecution.logical.foreach {
+      case r: LogicalRDD => r.rdd.unpersist(blocking = true)
+      case _             =>
+    }
 
   /** ipt of a full workload over a partitioning: [[counts]], then score.
     * `spark` is not needed (`edges` carries its session); callers that

@@ -4,6 +4,8 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core.Model._
 import repro.core.NaiveIso
+import repro.graphgen.Datasets
+import repro.workloads.Workloads
 
 /** ipt measurement tests, including the paper's §1 motivating example. */
 class IptEvaluatorSpec extends SparkSpec {
@@ -58,12 +60,43 @@ class IptEvaluatorSpec extends SparkSpec {
   private lazy val assortedCounts =
     IptEvaluator.counts(edgesDf(g), Workload(assorted.map(_ -> 1.0)))
 
-  test("per-edge match counts equal brute force") {
-    assorted.zip(assortedCounts.perQuery).foreach { case (q, ec) =>
-      val ms = NaiveIso.matches(q, SubGraph(g.toSet))
+  /** Asserts that `wc` holds, per query, the match count and the per-edge
+    * counts that brute force finds over `graph`.
+    */
+  private def assertBruteForceCounts(graph: Seq[LEdge], wc: IptEvaluator.WorkloadCounts,
+                                     clue: String): Unit = {
+    val sub = SubGraph(graph.toSet)
+    wc.workload.queries.zip(wc.perQuery).foreach { case ((q, _), ec) =>
+      val ms = NaiveIso.matches(q, sub)
       val expected = ms.flatten.groupBy(identity).map { case (e, es) => e -> es.size.toLong }
-      assert(ec.matchCount == ms.size, s"pattern $q")
-      assert(ec.x.indices.map(j => (ec.x(j), ec.y(j)) -> ec.c(j)).toMap == expected, s"pattern $q")
+      assert(ec.matchCount == ms.size, s"$clue pattern $q")
+      assert(ec.x.indices.map(j => (ec.x(j), ec.y(j)) -> ec.c(j)).toMap == expected, s"$clue pattern $q")
+    }
+  }
+
+  test("per-edge match counts equal brute force") {
+    assertBruteForceCounts(g, assortedCounts, "assorted")
+  }
+
+  test("per-edge match counts equal brute force over each uncached generated dataset") {
+    // Uncached, the table carries the generator's whole plan: the case the
+    // snapshot in `counts` cuts.
+    Datasets.queryable.foreach { d =>
+      val df = d.generate(spark, 0.005)
+      val es = df.collect().toVector.map(r => LEdge(r.getLong(0), r.getString(1), r.getLong(2), r.getString(3)))
+      val wc = IptEvaluator.counts(df, Workloads.forDataset(d.name))
+      assert(wc.perQuery.exists(_.matchCount > 0), s"${d.name}: no matches to compare")
+      assertBruteForceCounts(es, wc, d.name)
+    }
+  }
+
+  test("counts releases its edge snapshot, with and without matches") {
+    val sc = spark.sparkContext
+    Vector(q2 -> true, path("z", "z") -> false).foreach { case (q, matched) =>
+      val before = sc.getPersistentRDDs.size
+      val wc = IptEvaluator.counts(edgesDf(g), Workload(Vector(q -> 1.0)))
+      assert((wc.perQuery.head.matchCount > 0) == matched, s"pattern $q")
+      assert(sc.getPersistentRDDs.size == before, s"pattern $q")
     }
   }
 

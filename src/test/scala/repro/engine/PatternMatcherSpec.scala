@@ -136,8 +136,9 @@ class PatternMatcherSpec extends SparkSpec {
 
   test("the DuckDB oracle agrees row for row on every generated dataset") {
     Datasets.queryable.foreach { d =>
-      // One partition: the graphs are tiny, and the default 64 would make
-      // every scan run 64 tasks.
+      // One partition: the graphs are tiny. The generator's output has one
+      // partition per shuffle partition (the core count, as `JobUtil.session`
+      // sets it), so every scan would otherwise run one task per core.
       val df = d.generate(spark, 0.01).coalesce(1).cache()
       try {
         val found = Workloads.forDataset(d.name).queries.map { case (q, _) =>
