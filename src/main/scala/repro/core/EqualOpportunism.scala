@@ -124,32 +124,15 @@ object EqualOpportunism {
   }
 
   /** Indices of `ms`, stably sorted by descending support, then ascending
-    * size (merge sort: hub evictions can carry many matches).
+    * size (`sortWith` is stable, so ties keep the order of `ms`).
     */
   private def supportOrder(ms: Matches): Array[Int] = {
-    val a   = Array.range(0, ms.count)
-    val tmp = new Array[Int](a.length)
     def before(x: Int, y: Int): Boolean = {
       val sx = ms.support(x)
       val sy = ms.support(y)
       sx > sy || (sx == sy && ms.size(x) < ms.size(y))
     }
-    def sort(lo: Int, hi: Int): Unit = if (hi - lo > 1) {
-      val mid = (lo + hi) >>> 1
-      sort(lo, mid)
-      sort(mid, hi)
-      var i = lo
-      var j = mid
-      var k = lo
-      while (k < hi) {
-        if (j >= hi || (i < mid && !before(a(j), a(i)))) { tmp(k) = a(i); i += 1 }
-        else { tmp(k) = a(j); j += 1 }
-        k += 1
-      }
-      System.arraycopy(tmp, lo, a, lo, hi - lo)
-    }
-    sort(0, a.length)
-    a
+    Array.range(0, ms.count).sortWith(before)
   }
 
   /** The distinct vertices of all matches in `ms`. */

@@ -7,21 +7,23 @@ import repro.partition.{AdjacencyTracker, IntBuffer, LdgPartitioner, PartitionSt
   *
   * Pipeline per stream edge e:
   *   1. If e cannot match any single-edge motif of the workload's TPSTry++,
-  *      it can never be part of a motif match — assign its endpoints
-  *      immediately with LDG and never buffer it (§3).
+  *      it can never be part of a motif match — never buffer it, and
+  *      assign the endpoints whose labels are in no motif immediately
+  *      with LDG (§3).
   *   2. Otherwise insert e into the sliding window P_temp, growing/joining
   *      motif matches via the [[MotifMatcher]]. If the window is full, first
   *      evict the oldest edge: its support-sorted motif matches go through
   *      [[EqualOpportunism]] and the winning partition receives the rationed
   *      prefix of matches wholly (all their unassigned vertices), after
   *      which those edges leave the window (§4).
-  *   3. At stream end, `finish()` drains the window the same way.
+  *   3. At stream end, `finish()` drains the window the same way, then
+  *      places the motif-label vertices still unassigned with LDG.
   */
 final class LoomPartitioner(
     k: Int,
     nExpected: Long,
     motifs: MotifIndex,
-    val windowCapacity: Int = 10000
+    val windowCapacity: Int
 ) extends StreamingPartitioner {
   require(windowCapacity >= 1, "window capacity must be >= 1")
 
@@ -32,20 +34,6 @@ final class LoomPartitioner(
   val matcher = new MotifMatcher(motifs)
 
   private val adjacency = new AdjacencyTracker
-  // Unassigned motif-label vertices first seen on non-motif edges, in
-  // first-seen order (placed at eviction via their matches, or at finish()),
-  // with a membership flag per dense id.
-  private val deferred   = new IntBuffer
-  private var isDeferred = Array.emptyBooleanArray
-
-  private def deferOrPlace(v: Int, label: Int): Unit =
-    if (!state.isAssignedId(v)) {
-      if (motifs.isMotifLabel(label)) {
-        if (v >= isDeferred.length)
-          isDeferred = java.util.Arrays.copyOf(isDeferred, math.max(2 * isDeferred.length, v + 1))
-        if (!isDeferred(v)) { isDeferred(v) = true; deferred += v }
-      } else ldgPlace(v)
-    }
 
   /** Count of eviction rounds run (exposed for tests/benches). */
   var evictions: Long = 0L
@@ -73,13 +61,13 @@ final class LoomPartitioner(
       // partitioning, though, it must not *pre-empt* the placement of an
       // endpoint whose label can still join motif matches (e.g. a Paper
       // first seen on a citation edge, whose authorship edges are yet to
-      // stream in): such endpoints are deferred — equal opportunism will
+      // stream in): such endpoints stay unassigned — equal opportunism will
       // place them when their matches evict, or finish() falls back to
       // LDG with full adjacency. Labels outside every motif are placed
       // with LDG right away, as in the paper.
       ldgEdges += 1
-      deferOrPlace(u, lu)
-      deferOrPlace(v, lv)
+      if (!motifs.isMotifLabel(lu)) ldgPlace(u)
+      if (!motifs.isMotifLabel(lv)) ldgPlace(v)
     } else {
       if (matcher.windowSize >= windowCapacity) evictOldest()
       matcher.insert(u, lu, v, lv, node)
@@ -88,11 +76,11 @@ final class LoomPartitioner(
 
   override def finish(): Unit = {
     while (matcher.windowSize > 0) evictOldest()
-    // Deferred vertices whose motif edges never materialised: LDG placement
-    // with the full adjacency seen over the stream.
-    for (i <- 0 until deferred.size) ldgPlace(deferred(i))
-    deferred.clear()
-    isDeferred = Array.emptyBooleanArray
+    // The drain placed every vertex of a window edge, so the vertices left
+    // are motif-label vertices seen only on non-motif edges, each left
+    // unassigned since it was first seen. LDG places them in first-seen
+    // (dense-id) order, with the full adjacency seen over the stream.
+    for (v <- 0 until state.ids.size) ldgPlace(v)
   }
 
   // Per-eviction memo of LDG-style neighbour counts for the cluster's
@@ -128,13 +116,6 @@ final class LoomPartitioner(
     if (eOld < 0) return
     evictions += 1
     val mE = matcher.containing(eOld)
-    if (mE.count == 0) {
-      // Defensive: cannot happen (the single-edge match lives as long as the
-      // edge) but never leave the window stuck.
-      ldgPlace(matcher.edgeU(eOld)); ldgPlace(matcher.edgeV(eOld))
-      matcher.removeEdge(eOld)
-      return
-    }
     round += 1
     memoUsed = 0
     val alloc = EqualOpportunism.allocate(state, mE, neighbourN)
@@ -152,7 +133,9 @@ final class LoomPartitioner(
     for (j <- 0 until chosenEdges.size) matcher.removeEdge(chosenEdges(j))
   }
 
-  /** LDG placement for a single vertex (used for non-motif edges, §4). */
+  /** LDG placement for a single vertex, if unassigned (used for non-motif
+    * edges, §4).
+    */
   private def ldgPlace(v: Int): Unit = LdgPartitioner.place(state, adjacency, v)
 }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.partition.{IntBuffer, IntLists, LongIntMap}
+import repro.partition.{IntBuffer, IntLists}
 
 /** Graph-stream motif matcher (paper §3, Alg. 2).
   *
@@ -39,11 +39,12 @@ import repro.partition.{IntBuffer, IntLists, LongIntMap}
   *     registration number): its node, its edge ids in insertion order, and
   *     its vertices with their degrees in the match, so a factor delta costs
   *     O(match size) and allocates nothing;
-  *   - live matches are deduplicated by their edge-id set, through a hash
-  *     of the set and a chain of the matches sharing it;
   *   - each window edge lists the matches containing it, and each vertex its
   *     growable matches, both in registration order; a removed match stays
-  *     in these lists until a scan or a full list drops it.
+  *     in these lists until a scan or a full list drops it;
+  *   - live matches are deduplicated by their edge-id set through the edge
+  *     lists: a live match with a candidate's edge set contains each of the
+  *     candidate's edges, so it is in the shortest of their lists.
   *
   * '''Orders.''' Loom's partitioning depends on four orders, which this
   * representation keeps: [[containing]] returns matches in registration
@@ -59,14 +60,13 @@ final class MotifMatcher(val motifs: MotifIndex) {
   private val maxV = maxE + 1
 
   // Match block layout (in the match ring and in the scratch levels): live
-  // flag, motif node, edge and vertex counts, the next older match whose
-  // edge set has the same hash (or -1), then edges, vertices and degrees.
+  // flag, motif node, edge and vertex counts, then edges, vertices and
+  // degrees.
   private val Live   = 0
   private val Node   = 1
   private val NE     = 2
   private val NV     = 3
-  private val Next   = 4
-  private val Edges  = 5
+  private val Edges  = 4
   private val Verts  = Edges + maxE
   private val Degs   = Verts + maxV
   private val stride = Degs + maxV
@@ -86,9 +86,6 @@ final class MotifMatcher(val motifs: MotifIndex) {
   private var lowMatch    = 0 // every live match id is at least this
   private var nextMatch   = 0
   private var liveMatches = 0
-
-  // Hash of a live match's edge set -> newest live match with that hash.
-  private val bySet = new LongIntMap
 
   private val growable = new IntLists
 
@@ -291,19 +288,6 @@ final class MotifMatcher(val motifs: MotifIndex) {
 
   // ---- registration ----
 
-  /** Order-independent 64-bit hash of the edge set of the block at `off`. */
-  private def setHash(a: Array[Int], off: Int): Long = {
-    var h = 0L
-    var j = 0
-    while (j < a(off + NE)) {
-      var z = a(off + Edges + j) * 0x9E3779B97F4A7C15L
-      z ^= z >>> 31
-      h += z * 0xBF58476D1CE4E5B9L
-      j += 1
-    }
-    h
-  }
-
   /** True if match m has exactly the edges of the block at `off`. */
   private def sameEdges(m: Int, a: Array[Int], off: Int): Boolean = {
     val mb = matches.at(m)
@@ -316,25 +300,30 @@ final class MotifMatcher(val motifs: MotifIndex) {
   }
 
   /** Register the match at scratch level `lvl` unless a live match has the
-    * same edge set; true if it is new.
+    * same edge set; true if it is new. Such a match would be in every list
+    * of the candidate's edges, so only the shortest one is scanned.
     */
   private def register(lvl: Int): Boolean = {
-    val off = lvl * stride
-    val h   = setHash(level, off)
-    var m   = bySet.get(h)
-    while (m >= lowMatch) {
+    val off   = lvl * stride
+    var short = level(off + Edges) & edges.mask
+    var j     = 1
+    while (j < level(off + NE)) {
+      val s = level(off + Edges + j) & edges.mask
+      if (edges.lists.length(s) < edges.lists.length(short)) short = s
+      j += 1
+    }
+    j = 0
+    while (j < edges.lists.length(short)) {
+      val m = edges.lists.array(short)(j)
       if (alive(m) && sameEdges(m, level, off)) return false
-      m = matches.data(matches.at(m) + Next)
+      j += 1
     }
     val id = nextMatch
     matches.reserve(lowMatch, id)
-    val mb = matches.at(id)
-    System.arraycopy(level, off, matches.data, mb, stride)
-    matches.data(mb + Next) = bySet.get(h)
-    bySet.put(h, id)
+    System.arraycopy(level, off, matches.data, matches.at(id), stride)
     nextMatch += 1
     liveMatches += 1
-    var j = 0
+    j = 0
     while (j < level(off + NE)) {
       edges.lists.appendLive(level(off + Edges + j) & edges.mask, id, alive)
       j += 1
@@ -344,21 +333,6 @@ final class MotifMatcher(val motifs: MotifIndex) {
       while (j < level(off + NV)) { growable.appendLive(level(off + Verts + j), id, alive); j += 1 }
     }
     true
-  }
-
-  /** Mark match m dead. If it headed its hash's chain in [[bySet]], the
-    * newest live match after it heads the chain instead, or the hash goes.
-    */
-  private def kill(m: Int): Unit = {
-    val mb = matches.at(m)
-    matches.data(mb + Live) = 0
-    liveMatches -= 1
-    val h = setHash(matches.data, mb)
-    if (bySet.get(h) == m) {
-      var j = matches.data(mb + Next)
-      while (j >= lowMatch && !alive(j)) j = matches.data(matches.at(j) + Next)
-      if (j >= lowMatch) bySet.put(h, j) else bySet.remove(h)
-    }
   }
 
   // ---- eviction ----
@@ -403,7 +377,7 @@ final class MotifMatcher(val motifs: MotifIndex) {
     var i    = 0
     while (i < edges.lists.length(slot)) {
       val m = edges.lists.array(slot)(i)
-      if (alive(m)) kill(m)
+      if (alive(m)) { matches.data(matches.at(m) + Live) = 0; liveMatches -= 1 }
       i += 1
     }
     edges.lists.clear(slot)

@@ -47,9 +47,9 @@ object Signature {
     * everywhere, so trie construction and stream matching agree. Loom
     * registers the workload's labels while it builds the trie, then each
     * stream label on first use (u before v); callers that need cross-JVM
-    * stability should register labels in a fixed order first. The factor
-    * tables of [[MotifIndex]] are indexed by these ids. Not thread-safe:
-    * each Loom builds its own coder.
+    * stability should register labels in a fixed order first. The stream
+    * matcher's labels are these ids, and [[MotifIndex.fac]] takes its
+    * factors from here. Not thread-safe: each Loom builds its own coder.
     */
   final class LabelCoder(val p: Int = DefaultP, seed: Long = 42L) {
     require(p >= 2, "p must be at least 2")

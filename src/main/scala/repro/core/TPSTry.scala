@@ -118,10 +118,10 @@ object TPSTry {
   *     signature is its root delta, so [[singleEdge]] is one [[fac]] and one
   *     lookup, and a stream edge whose delta collides with a motif's
   *     resolves to that motif;
-  *   - labels are the ids of the trie's [[Signature.LabelCoder]], and the
-  *     edge factor of every label pair and the degree factors of every
-  *     label up to [[maxMotifEdges]] are tabulated by id, so `fac` is three
-  *     table reads and a three-way sort.
+  *   - labels are the ids of the trie's [[Signature.LabelCoder]], and `fac`
+  *     takes its edge and degree factors from the coder, the functions
+  *     [[Signature.fac]] calls for the trie, so trie and stream share one
+  *     definition of a factor.
   */
 final class MotifIndex(val trie: TPSTry, val threshold: Double) {
   require(threshold > 0 && threshold <= 1, "threshold must be in (0, 1]")
@@ -162,7 +162,7 @@ final class MotifIndex(val trie: TPSTry, val threshold: Double) {
     */
   def singleEdge(lu: Int, lv: Int): Int = child(Root, fac(lu, 0, lv, 0))
 
-  // ---- labels and their factor tables ----
+  // ---- labels and factors ----
 
   // Labels of the single-edge motifs, by id: vertices with these labels can
   // still become part of a motif match later in the stream. Every one was
@@ -173,50 +173,16 @@ final class MotifIndex(val trie: TPSTry, val threshold: Double) {
     a
   }
 
-  // Tables over the coder's label ids, `cap` labels per row, filled for the
-  // first `known` ids: the edge factor of a label pair and the degree factor
-  // of a label at degrees 1..degStride - 1.
-  private val degStride   = math.max(1, maxMotifEdges) + 1
-  private var cap         = 0
-  private var known       = 0
-  private var edgeFactors = Array.emptyIntArray
-  private var degFactors  = Array.emptyIntArray
-  tabulate()
-
   /** The coder's id of label `l`, registering it on first use. */
-  def label(l: String): Int = {
-    val id = coder.id(l)
-    if (id >= known) tabulate()
-    id
-  }
+  def label(l: String): Int = coder.id(l)
 
   /** True if label `l` occurs in a single-edge motif. */
   def isMotifLabel(l: Int): Boolean = l < motifLabels.length && motifLabels(l)
 
-  /** Extend the factor tables to every label the coder has registered. */
-  private def tabulate(): Unit = {
-    val n = coder.size
-    if (n > cap) {
-      cap = math.max(8, math.max(2 * cap, n))
-      edgeFactors = new Array[Int](cap * cap)
-      degFactors = new Array[Int](cap * degStride)
-      known = 0
-    }
-    for (a <- known until n) {
-      for (b <- 0 to a) {
-        val f = coder.edgeFactor(a, b)
-        edgeFactors(a * cap + b) = f
-        edgeFactors(b * cap + a) = f
-      }
-      for (k <- 1 until degStride) degFactors(a * degStride + k) = coder.degreeFactor(a, k)
-    }
-    known = n
-  }
-
   /** Packed fac(e, g) for an edge e with endpoint label ids `lu`, `lv` whose
-    * endpoints have degrees `du`, `dv` (< [[maxMotifEdges]]) in g.
+    * endpoints have degrees `du`, `dv` in g.
     */
   def fac(lu: Int, du: Int, lv: Int, dv: Int): Int =
-    Signature.packed(edgeFactors(lu * cap + lv),
-                     degFactors(lu * degStride + du + 1), degFactors(lv * degStride + dv + 1))
+    Signature.packed(coder.edgeFactor(lu, lv),
+                     coder.degreeFactor(lu, du + 1), coder.degreeFactor(lv, dv + 1))
 }

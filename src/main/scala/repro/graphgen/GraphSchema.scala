@@ -8,7 +8,8 @@ package repro.graphgen
   * receives a fraction `weight` of the edge budget, and draws endpoints with
   * a power-law skew (`skew` = 1.0 is uniform; larger values concentrate
   * endpoints on low ids within the range, creating hubs as in real
-  * citation/metadata graphs).
+  * citation/metadata graphs). `axis` selects the community coupling of
+  * [[SchemaGraphGen]].
   */
 final case class EdgeType(srcLabel: String, dstLabel: String, weight: Double,
                           srcSkew: Double = 1.0, dstSkew: Double = 1.0,
@@ -18,36 +19,9 @@ final case class EdgeType(srcLabel: String, dstLabel: String, weight: Double,
   require(axis == 0 || axis == 1, "axis must be 0 or 1")
 }
 
-/** Community structure: vertices of every label are partitioned into
-  * `count` blocks; an edge keeps both endpoints in the same block with
-  * probability `intraProb` (real graphs — co-authorship, music metadata,
-  * universities — are strongly clustered; without locality no partitioner
-  * can beat random placement by much).
-  *
-  * Edge types carry an `axis`: axis-0 types connect block c to block c;
-  * axis-1 types connect block c to a fixed permutation π(c) of the blocks.
-  * Both axes are individually coherent, but they disagree — no single
-  * partitioning respects both. This models real heterogeneous graphs, where
-  * different relations cluster along different dimensions (artists group by
-  * collaboration for albums but by country for origin), and is precisely the
-  * regime the paper targets: a workload-agnostic min-cut partitioner
-  * optimises a compromise across all relations, while a workload-aware one
-  * follows only the queried axis (§1).
-  */
-final case class Communities(count: Int = 32, intraProb: Double = 0.9) {
-  require(count >= 1, "need at least one community")
-  require(intraProb >= 0 && intraProb <= 1, "intraProb must be a probability")
-
-  /** The axis-1 block permutation: c → (5c + 3) mod count (5 is coprime to
-    * the default 32, so this is a bijection scattering neighbouring blocks).
-    */
-  def permute(c: Int): Int = ((5 * c + 3) % count + count) % count
-}
-
 final case class GraphSchema(name: String,
                              labelShares: Vector[(String, Double)],
-                             edgeTypes: Vector[EdgeType],
-                             communities: Communities = Communities()) {
+                             edgeTypes: Vector[EdgeType]) {
   require(labelShares.nonEmpty && edgeTypes.nonEmpty, "schema must be non-trivial")
   private val labelSet = labelShares.map(_._1).toSet
   require(labelShares.map(_._1).distinct.size == labelShares.size, "duplicate labels")

@@ -23,6 +23,26 @@ object SchemaGraphGen {
 
   private val HashMod = 1000000007L
 
+  /** Community structure: vertices of every label are partitioned into
+    * `CommunityCount` blocks; an edge keeps both endpoints in the same block
+    * with probability `IntraProb` (real graphs — co-authorship, music
+    * metadata, universities — are strongly clustered; without locality no
+    * partitioner can beat random placement by much).
+    *
+    * Edge types carry an `axis`: axis-0 types connect block c to block c;
+    * axis-1 types connect block c to the block π(c) = (5c + 3) mod 32 (5 is
+    * coprime to 32, so π is a bijection scattering neighbouring blocks).
+    * Both axes are individually coherent, but they disagree — no single
+    * partitioning respects both. This models real heterogeneous graphs,
+    * where different relations cluster along different dimensions (artists
+    * group by collaboration for albums but by country for origin), and is
+    * precisely the regime the paper targets: a workload-agnostic min-cut
+    * partitioner optimises a compromise across all relations, while a
+    * workload-aware one follows only the queried axis (§1).
+    */
+  private val CommunityCount = 32
+  private val IntraProb      = 0.9
+
   /** Stateless uniform in [0, 1) derived from the row id and a seed offset. */
   private def u01(idCol: Column, seed: Long): Column =
     pmod(xxhash64(idCol, lit(seed)), lit(HashMod)).cast(DoubleType) / lit(HashMod.toDouble)
@@ -32,7 +52,6 @@ object SchemaGraphGen {
             seed: Long = 7L): DataFrame = {
     val ranges      = schema.ranges(n)
     val totalWeight = schema.edgeTypes.map(_.weight).sum
-    val comm        = schema.communities
 
     val perType = schema.edgeTypes.zipWithIndex.map { case (t, i) =>
       val rows               = math.max(1L, math.round(m * t.weight / totalWeight))
@@ -42,21 +61,21 @@ object SchemaGraphGen {
       val id                 = col("id")
 
       // Community of the edge, and of the destination endpoint: with
-      // probability intraProb the edge respects its axis's block structure
+      // probability IntraProb the edge respects its axis's block structure
       // (axis 0: dst block = src block; axis 1: dst block = π(src block)).
-      val srcComm = floor(u01(id, s + 2) * comm.count).cast(LongType)
+      val srcComm = floor(u01(id, s + 2) * CommunityCount).cast(LongType)
       val axisDst =
         if (t.axis == 0) srcComm
-        else pmod(srcComm * 5 + 3, lit(comm.count.toLong))
-      val dstComm = when(u01(id, s + 3) < comm.intraProb, axisDst)
-        .otherwise(floor(u01(id, s + 4) * comm.count).cast(LongType))
+        else pmod(srcComm * 5 + 3, lit(CommunityCount.toLong))
+      val dstComm = when(u01(id, s + 3) < IntraProb, axisDst)
+        .otherwise(floor(u01(id, s + 4) * CommunityCount).cast(LongType))
 
       // Power-law endpoint draw inside the label's slice for the community:
       // floor(localCnt * r^skew) concentrates on low ids when skew > 1
       // (hub vertices, one cluster per community).
       def draw(start: Long, cnt: Long, skew: Double, community: Column,
                r: Column): Column = {
-        val sliceLen   = math.max(1L, cnt / comm.count)
+        val sliceLen   = math.max(1L, cnt / CommunityCount)
         val sliceStart = least(community * sliceLen, lit(cnt - 1))
         val localCnt   = least(lit(sliceLen), lit(cnt) - sliceStart)
         lit(start) + sliceStart +

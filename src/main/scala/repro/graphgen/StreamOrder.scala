@@ -59,28 +59,19 @@ object StreamOrder {
       if (emitted.add(key)) out += e
     }
 
-    val roots = adj.keys.toVector.sorted
+    // One deque of discovered vertices: BFS expands from its front, DFS from
+    // its back. Expanding u emits all edges incident to u and appends u's
+    // unvisited neighbours.
+    val pending = mutable.ArrayDeque.empty[VId]
+    val roots   = adj.keys.toVector.sorted
     for (root <- roots if !visited.contains(root)) {
-      if (depthFirst) {
-        val stack = mutable.Stack[VId](root)
-        visited += root
-        while (stack.nonEmpty) {
-          val u = stack.pop()
-          // Emit all edges incident to u on discovery; push unvisited deeper.
-          adj(u).foreach { case (w, e) =>
-            emit(e)
-            if (visited.add(w)) stack.push(w)
-          }
-        }
-      } else {
-        val queue = mutable.Queue[VId](root)
-        visited += root
-        while (queue.nonEmpty) {
-          val u = queue.dequeue()
-          adj(u).foreach { case (w, e) =>
-            emit(e)
-            if (visited.add(w)) queue.enqueue(w)
-          }
+      visited += root
+      pending.append(root)
+      while (pending.nonEmpty) {
+        val u = if (depthFirst) pending.removeLast() else pending.removeHead()
+        adj(u).foreach { case (w, e) =>
+          emit(e)
+          if (visited.add(w)) pending.append(w)
         }
       }
     }

@@ -4,8 +4,8 @@ import java.util.Arrays
 import repro.core.Model.VId
 
 /** Open-addressing hash map from `Long` keys to non-negative `Int` values:
-  * linear probing over a power-of-two table kept at most half full, and
-  * backward-shift deletion, so no tombstones build up. No boxing.
+  * linear probing over a power-of-two table kept at most half full. Keys
+  * are only added. No boxing.
   */
 final class LongIntMap {
   private var keys  = new Array[Long](16)
@@ -38,27 +38,6 @@ final class LongIntMap {
     if (vals(i) < 0) count += 1
     keys(i) = k
     vals(i) = v
-  }
-
-  def remove(k: Long): Unit = {
-    var i = slotOf(k)
-    if (vals(i) >= 0) {
-      count -= 1
-      // Shift later entries of the probe run back into the hole, unless
-      // their home lies cyclically in (hole, entry].
-      var j = i
-      var done = false
-      while (!done) {
-        j = (j + 1) & mask
-        if (vals(j) < 0) done = true
-        else {
-          val h = home(keys(j))
-          val stays = if (i <= j) i < h && h <= j else i < h || h <= j
-          if (!stays) { keys(i) = keys(j); vals(i) = vals(j); i = j }
-        }
-      }
-      vals(i) = -1
-    }
   }
 
   private def grow(): Unit = {

@@ -70,6 +70,30 @@ class LoomPartitionerSpec extends SparkSpec {
     assert(loom.state.isAssigned(1) && loom.state.isAssigned(2))
   }
 
+  test("finish() places leftover motif-label vertices in first-seen order") {
+    // k = 2, capacity 55. c is outside every motif, so c vertices are placed
+    // on arrival; a and b are motif labels, so their vertices on non-motif
+    // edges wait.
+    val loom = mkLoom(2, 100, abWorkload, window = 10)
+    Vector(
+      LEdge(1, "a", 10, "c"), LEdge(1, "a", 11, "c"), // x = 1; 10 -> 0, 11 -> 1
+      LEdge(2, "a", 10, "c"), LEdge(2, "a", 11, "c"), // y = 2, x's twin
+      LEdge(3, "b", 12, "c"),                         // m = 3 waits; 12 -> 0
+      LEdge(20, "c", 21, "c"),                        // 20, 21 -> 1
+      LEdge(4, "a", 3, "b"),                          // m's first motif edge
+    ).foreach(loom.add)
+    assert(loom.ldgEdges == 6 && loom.matcher.windowSize == 1)
+    assert(Seq(1L, 2L, 3L).forall(v => !loom.state.isAssigned(v)))
+    loom.finish()
+    // The drain places m with 4 by equal opportunism (12 pulls them to 0),
+    // leaving sizes 4 and 3. Then x, one neighbour in each partition, joins
+    // the smaller one, 1; y, with the sizes now tied, goes to 0. Placing y
+    // before x would swap them.
+    assert(loom.eoVertices == 2)
+    assert(loom.state.toMap == Map(1L -> 1, 2L -> 0, 3L -> 0, 4L -> 0, 10L -> 0, 11L -> 1,
+                                   12L -> 0, 20L -> 1, 21L -> 1))
+  }
+
   test("motif edges are buffered, not assigned immediately") {
     val loom = mkLoom(2, 10, abWorkload)
     loom.add(LEdge(1, "a", 2, "b"))

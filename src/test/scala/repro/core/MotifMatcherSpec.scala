@@ -79,6 +79,14 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
 
     def matchSets: Set[Set[LEdge]] = all.map(_.edges.toSet).toSet
 
+    /** The live matches equal the brute-force enumeration, and no two of
+      * them share an edge set (the set comparison alone would hide that).
+      */
+    def assertBrute(brute: Set[Set[LEdge]], clue: String = ""): Unit = {
+      assert(all.size == matchSets.size, s"two live matches share an edge set $clue")
+      assert(matchSets == brute, clue)
+    }
+
     /** Live matches with vertex v, in registration order. */
     def at(v: VId): Vector[Found] = all.filter(_.edges.exists(_.contains(v)))
   }
@@ -156,7 +164,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
       LEdge(1, "a", 2, "b"), LEdge(3, "a", 2, "b"), LEdge(3, "a", 4, "b"),
       LEdge(5, "a", 4, "b"), LEdge(5, "a", 2, "b"), LEdge(6, "a", 4, "b"),
     )
-    assert(streamAll(edges, index).matchSets == bruteMatches(edges, index))
+    streamAll(edges, index).assertBrute(bruteMatches(edges, index))
   }
 
   test("property: matchList equals brute-force enumeration on random streams") {
@@ -175,8 +183,7 @@ class MotifMatcherSpec extends SparkSpec with GenDriven {
       } yield LEdge(ua.toLong, "a", vb.toLong, "b"))
     } yield es.distinct.toVector
     forAllG(edgeGen, n = 40) { es =>
-      assert(streamAll(es, index).matchSets == bruteMatches(es, index),
-             s"mismatch for stream $es")
+      streamAll(es, index).assertBrute(bruteMatches(es, index), s"for stream $es")
     }
   }
 
