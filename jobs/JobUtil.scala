@@ -3,8 +3,8 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 /** The Spark session of the mains, the tests and the benchmark. Shuffle
-  * partitions come from `SPARK_SHUFFLE_PARTITIONS`, or else match the
-  * session's default parallelism (the core count under `local[*]`).
+  * partitions match the session's default parallelism (the core count
+  * under `local[*]`).
   */
 object JobUtil {
   def session(app: String): SparkSession = {
@@ -13,9 +13,7 @@ object JobUtil {
       .appName(app)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    val partitions = sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS",
-                                       s.sparkContext.defaultParallelism.toString)
-    s.conf.set("spark.sql.shuffle.partitions", partitions)
+    s.conf.set("spark.sql.shuffle.partitions", s.sparkContext.defaultParallelism.toString)
     s
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 import repro.partition.PartitionState
+import repro.partition.GreedyPartitioner.Ldg
 
 /** The equal-opportunism allocation heuristic (paper §4, eqs. 1–3).
   *
@@ -15,8 +16,9 @@ import repro.partition.PartitionState
 object EqualOpportunism {
 
   /** α: how aggressively l penalises larger partitions (the paper's 2/3).
-    * The maximum imbalance b is not a parameter here: it is Loom's capacity
-    * slack (1.1, emulating Fennel), which `state.capacity` = b·n/k carries.
+    * The maximum imbalance b is not a parameter here: it is
+    * [[PartitionState.Slack]] (1.1, emulating Fennel), which
+    * `state.capacity` = b·n/k carries.
     */
   val Alpha: Double = 2.0 / 3.0
 
@@ -49,15 +51,16 @@ object EqualOpportunism {
   }
 
   /** bid(S_i, ⟨E_k, m_k⟩) = N(S_i, E_k) · (1 − |V(S_i)|/C) · supp(m_k)
-    * (paper eq. 1) for match i of `ms`. Per footnote 8, N generalises
-    * **LDG's** N — which counts incident edges in a partition — to
-    * sub-graphs: N(S_i, E_k) is the number of edges between E_k's vertices
-    * and vertices already assigned to S_i (`neighbourN(v, i)`, v's seen
-    * neighbours in S_i), plus the membership count |V(S_i) ∩ V(E_k)|.
+    * (paper eq. 1), i.e. LDG's score of N times the support, for match i of
+    * `ms`. Per footnote 8, N generalises **LDG's** N — which counts incident
+    * edges in a partition — to sub-graphs: N(S_i, E_k) is the number of
+    * edges between E_k's vertices and vertices already assigned to S_i
+    * (`neighbourN(v, i)`, v's seen neighbours in S_i), plus the membership
+    * count |V(S_i) ∩ V(E_k)|.
     */
   def bid(state: PartitionState, pid: Int, ms: Matches, i: Int,
           neighbourN: (Int, Int) => Int): Double = {
-    var n = 0.0
+    var n = 0
     var j = 0
     while (j < ms.vertexCount(i)) {
       val v = ms.vertex(i, j)
@@ -65,7 +68,7 @@ object EqualOpportunism {
       n += neighbourN(v, pid)
       j += 1
     }
-    n * (1.0 - state.size(pid) / state.capacity) * ms.support(i)
+    Ldg(state, n, pid) * ms.support(i)
   }
 
   /** Outcome of an allocation round: the winning partition, the indices of
@@ -81,7 +84,7 @@ object EqualOpportunism {
     * order of `ms`). The winner is the open partition with the highest total
     * bid over its rationed prefix. If every total is ≤ 0 (e.g. no match
     * vertex is assigned yet), the winner is the cluster's LDG choice: the
-    * open partition maximising Σ_v neighbourN(v, i) · (1 − |V(S_i)|/C) over
+    * open partition with the highest LDG score of Σ_v neighbourN(v, i) over
     * all the matches' vertices, whose adjacency into the partitioned graph
     * still carries signal. Both choices are [[PartitionState.bestOpen]], so
     * ties go to the smaller partition, then to the lower index, and a state
@@ -117,7 +120,7 @@ object EqualOpportunism {
         state.bestOpen { i =>
           var n = 0
           verts.foreach(v => n += neighbourN(v, i))
-          n * (1.0 - state.size(i) / state.capacity)
+          Ldg(state, n, i)
         }
       }
     Allocation(winner, ArraySeq.unsafeWrapArray(sorted.take(math.max(1, prefixLen(winner)))), fallback)

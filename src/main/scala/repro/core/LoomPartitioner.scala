@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.Model._
-import repro.partition.{AdjacencyTracker, IntBuffer, LdgPartitioner, PartitionState, StreamingPartitioner}
+import repro.partition.{AdjacencyTracker, GreedyPartitioner, IntBuffer, PartitionState, StreamingPartitioner}
 
 /** Loom: the paper's workload-aware streaming partitioner (§1.4, §3, §4).
   *
@@ -28,8 +28,7 @@ final class LoomPartitioner(
   require(windowCapacity >= 1, "window capacity must be >= 1")
 
   override val name = "Loom"
-  override val state = new PartitionState(
-    k, capacity = math.max(1.0, LoomPartitioner.CapacitySlack * nExpected.toDouble / k))
+  override val state = PartitionState.withSlack(k, nExpected)
 
   val matcher = new MotifMatcher(motifs)
 
@@ -51,7 +50,8 @@ final class LoomPartitioner(
     val u = state.ids.id(e.u)
     val v = state.ids.id(e.v)
     adjacency.add(u, v)
-    // Interning registers a new label with the coder, u's before v's.
+    // Labels are looked up, never registered: a label outside the workload
+    // is -1, so its edge is never a motif edge.
     val lu   = motifs.label(e.uLabel)
     val lv   = motifs.label(e.vLabel)
     val node = motifs.singleEdge(lu, lv)
@@ -136,13 +136,5 @@ final class LoomPartitioner(
   /** LDG placement for a single vertex, if unassigned (used for non-motif
     * edges, §4).
     */
-  private def ldgPlace(v: Int): Unit = LdgPartitioner.place(state, adjacency, v)
-}
-
-object LoomPartitioner {
-
-  /** Capacity slack b: each partition's capacity is b·n/k (the paper's 1.1,
-    * emulating Fennel's ν); equal opportunism's ration is 0 at capacity.
-    */
-  val CapacitySlack: Double = 1.1
+  private def ldgPlace(v: Int): Unit = GreedyPartitioner.place(state, adjacency, v, GreedyPartitioner.Ldg)
 }

@@ -55,7 +55,8 @@ import repro.partition.{IntBuffer, IntLists}
   */
 final class MotifMatcher(val motifs: MotifIndex) {
 
-  private val maxE = motifs.maxMotifEdges
+  private val coder = motifs.coder
+  private val maxE  = motifs.maxMotifEdges
   require(maxE <= 30, s"motifs of up to 30 edges are supported, got $maxE")
   private val maxV = maxE + 1
 
@@ -244,7 +245,7 @@ final class MotifMatcher(val motifs: MotifIndex) {
   private def facOf(a: Array[Int], off: Int, e: Int): Int = {
     val b = edges.at(e)
     val d = edges.data
-    motifs.fac(d(b + ELu), degree(a, off, d(b + EU)), d(b + ELv), degree(a, off, d(b + EV)))
+    coder.fac(d(b + ELu), degree(a, off, d(b + EU)), d(b + ELv), degree(a, off, d(b + EV)))
   }
 
   /** Scratch level `to` := the block at `off` of `a` plus edge e, at node `node`. */

@@ -36,6 +36,9 @@ object Signature {
     val empty: Sig                    = of(Vector.empty[Int])
     def of(fs: Iterable[Int]): Sig    = new Sig(fs.toVector.sorted) {}
     def of(fs: Int*): Sig             = of(fs.toVector)
+
+    /** The three factors of a [[packed]] delta. */
+    def ofPacked(d: Int): Sig = of(d >>> 16, (d >>> 8) & 0xff, d & 0xff)
   }
 
   /** The one label table: interns each label to an id 0, 1, 2, … in
@@ -44,15 +47,15 @@ object Signature {
     * [1, p).
     *
     * A given (p, seed) and registration order give the same values
-    * everywhere, so trie construction and stream matching agree. Loom
-    * registers the workload's labels while it builds the trie, then each
-    * stream label on first use (u before v); callers that need cross-JVM
-    * stability should register labels in a fixed order first. The stream
-    * matcher's labels are these ids, and [[MotifIndex.fac]] takes its
-    * factors from here. Not thread-safe: each Loom builds its own coder.
+    * everywhere. Only the trie registers labels ([[Signature.fac]] registers
+    * u's label, then v's, for each edge it signs); Loom looks stream labels
+    * up with [[find]], so a label outside the workload has no id and no
+    * r-value. Every factor lies in [1, p], and p ≤ 255, so [[fac]] packs
+    * three of them into one `Int`. Not thread-safe: each Loom builds its own
+    * coder.
     */
   final class LabelCoder(val p: Int = DefaultP, seed: Long = 42L) {
-    require(p >= 2, "p must be at least 2")
+    require(p >= 2 && p <= 255, s"packed factor deltas need 2 <= p < 256, got p = $p")
     private val pool = new Random(seed).shuffle((1 until p).toVector).toArray
     private val ids  = scala.collection.mutable.HashMap.empty[String, Int]
 
@@ -63,20 +66,41 @@ object Signature {
         ids.size
       })
 
+    /** Id of label l, or -1 if it was never registered. */
+    def find(label: String): Int = ids.getOrElse(label, -1)
+
     /** Number of labels registered so far: their ids are 0 until size. */
     def size: Int = ids.size
 
     /** r(l): the random value for label l (registered on first use). */
     def r(label: String): Int = pool(id(label))
 
-    /** [[Signature.edgeFactor]] of the labels with ids a and b. */
+    /** Edge factor for an edge between the labels with ids a and b.
+      *
+      * The paper's formula has a typo (subtracts a value from itself); its
+      * worked example computes (r(b) − r(a)) mod 11 = 7 for r(a)=3, r(b)=10,
+      * so we use the order-normalised difference, which is symmetric as
+      * required for undirected edges.
+      */
     def edgeFactor(a: Int, b: Int): Int = nonZero(math.abs(pool(a) - pool(b)), p)
 
-    /** [[Signature.degreeFactor]] of the label with id a. */
+    /** The k-th degree factor for a vertex whose label has id a:
+      * (r(l) + k) mod p. A vertex of degree n contributes factors for
+      * k = 1..n; raising a degree from n−1 to n adds exactly
+      * `degreeFactor(a, n)`.
+      */
     def degreeFactor(a: Int, k: Int): Int = {
       require(k >= 1, "degree factors start at k = 1")
       nonZero(pool(a) + k, p)
     }
+
+    /** The paper's fac(e, g), [[packed]]: the factors added to sub-graph g's
+      * signature by an edge e with endpoint label ids `lu`, `lv` whose
+      * endpoints have degrees `du`, `dv` in g: one edge factor plus one new
+      * degree factor per endpoint.
+      */
+    def fac(lu: Int, du: Int, lv: Int, dv: Int): Int =
+      packed(edgeFactor(lu, lv), degreeFactor(lu, du + 1), degreeFactor(lv, dv + 1))
   }
 
   /** Map x into [1, p]: the paper does not consider 0 a valid factor and
@@ -87,33 +111,11 @@ object Signature {
     if (m == 0) p else m
   }
 
-  /** Edge factor for an edge between labels la and lb.
-    *
-    * The paper's formula has a typo (subtracts a value from itself); its
-    * worked example computes (r(b) − r(a)) mod 11 = 7 for r(a)=3, r(b)=10, so
-    * we use the order-normalised difference, which is symmetric as required
-    * for undirected edges.
+  /** fac(e, g) over e's label ids, registering them u's first, and its
+    * endpoints' degrees in g.
     */
-  def edgeFactor(la: String, lb: String)(implicit coder: LabelCoder): Int =
-    coder.edgeFactor(coder.id(la), coder.id(lb))
-
-  /** The k-th degree factor for a vertex with label l: (r(l) + k) mod p.
-    *
-    * A vertex of degree n contributes factors for k = 1..n; raising a degree
-    * from n−1 to n adds exactly `degreeFactor(l, n)`.
-    */
-  def degreeFactor(l: String, k: Int)(implicit coder: LabelCoder): Int =
-    coder.degreeFactor(coder.id(l), k)
-
-  /** Factors added to sub-graph g's signature by adding edge e (paper's
-    * fac(e, g)): one edge factor plus one new degree factor per endpoint.
-    */
-  def fac(e: LEdge, g: SubGraph)(implicit coder: LabelCoder): Sig =
-    Sig.of(
-      edgeFactor(e.uLabel, e.vLabel),
-      degreeFactor(e.uLabel, g.degree(e.u) + 1),
-      degreeFactor(e.vLabel, g.degree(e.v) + 1)
-    )
+  def fac(e: LEdge, g: SubGraph)(implicit coder: LabelCoder): Int =
+    coder.fac(coder.id(e.uLabel), g.degree(e.u), coder.id(e.vLabel), g.degree(e.v))
 
   /** Full signature of a concrete sub-graph: [[fac]] folded over its edges.
     * Every vertex of degree n collects degree factors 1..n whatever the edge
@@ -121,16 +123,11 @@ object Signature {
     */
   def ofSubGraph(g: SubGraph)(implicit coder: LabelCoder): Sig =
     g.edges.foldLeft((SubGraph.empty, Sig.empty)) { case ((h, sig), e) =>
-      (h + e, sig ++ fac(e, h))
+      (h + e, sig ++ Sig.ofPacked(fac(e, h)))
     }._2
 
-  /** Largest factor a packed delta can hold: 8 bits per factor. */
-  val MaxPackedFactor: Int = 255
-
-  /** A three-factor delta packed into the low 24 bits of an `Int`, sorted
-    * ascending from the high byte down, so equal deltas pack equally. Every
-    * fac(e, g) has exactly three factors in [1, p]; with p ≤ 255 (the
-    * paper's p = 251) each fits in a byte.
+  /** Three factors in [1, 255] packed into the low 24 bits of an `Int`,
+    * sorted ascending from the high byte down, so equal deltas pack equally.
     */
   def packed(a: Int, b: Int, c: Int): Int = {
     // Sort three values with three compare-and-swaps.
@@ -139,13 +136,5 @@ object Signature {
     if (y > z) { val t = y; y = z; z = t }
     if (x > y) { val t = x; x = y; y = t }
     (x << 16) | (y << 8) | z
-  }
-
-  /** [[packed]] form of a factor delta from [[fac]]. */
-  def packed(delta: Sig): Int = {
-    require(delta.size == 3, s"a packed delta has exactly 3 factors, got ${delta.factors}")
-    require(delta.factors.forall(f => f >= 1 && f <= MaxPackedFactor),
-            s"packed factors lie in [1, $MaxPackedFactor], got ${delta.factors}")
-    packed(delta.factors(0), delta.factors(1), delta.factors(2))
   }
 }

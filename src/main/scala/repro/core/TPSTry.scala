@@ -9,9 +9,9 @@ import repro.core.Signature._
   * A DAG in which every node represents a connected sub-graph of some query
   * graph in the workload Q, identified by its factor-multiset signature.
   * Parent→child links are annotated with the factor *delta* added by one
-  * edge, so the stream matcher (Alg. 2) can follow a link by computing
-  * fac(e, g) for a candidate edge e — no explicit graph isomorphism test is
-  * ever run during matching.
+  * edge, packed into an `Int` ([[Signature.fac]]), so the stream matcher
+  * (Alg. 2) can follow a link by computing fac(e, g) for a candidate edge e
+  * — no explicit graph isomorphism test is ever run during matching.
   *
   * `support(n)` is the fraction of workload frequency mass whose query graph
   * contains n's graph as a sub-graph; by construction it is monotonically
@@ -24,13 +24,13 @@ final class TPSTry(implicit val coder: LabelCoder) {
   final class Node private[TPSTry] (val sig: Sig, val representative: QueryGraph,
                                     val sizeEdges: Int) {
     private[TPSTry] var supportWeight: Double = 0.0
-    private[TPSTry] val childLinks = mutable.LinkedHashMap.empty[Sig, Node]
+    private[TPSTry] val childLinks = mutable.LinkedHashMap.empty[Int, Node]
 
-    /** Child reached by adding an edge contributing factor-delta `delta`. */
-    def child(delta: Sig): Option[Node] = childLinks.get(delta)
+    /** Child reached by adding an edge contributing packed delta `delta`. */
+    def child(delta: Int): Option[Node] = childLinks.get(delta)
 
-    /** All (delta, child) links out of this node. */
-    def children: Vector[(Sig, Node)] = childLinks.toVector
+    /** All (packed delta, child) links out of this node. */
+    def children: Vector[(Int, Node)] = childLinks.toVector
 
     /** Normalised support in [0, 1] of this node's sub-graph in Q. */
     def support: Double =
@@ -57,12 +57,12 @@ final class TPSTry(implicit val coder: LabelCoder) {
     *
     * Enumerates every connected sub-graph of q exactly once, breadth-first
     * over sub-graphs of `q.toSubGraph`, extending each by its incident edges
-    * in edge-index order. A child's signature is its parent's plus
-    * `fac(e, g)`, the delta the stream matcher (Alg. 2) follows, so trie and
-    * stream agree by construction. Nodes merge across queries by signature;
-    * support is credited once per query per distinct signature, so
-    * re-derivable sub-graphs (the DAG case, e.g. a-b-a-b from both b-a-b and
-    * a-b-a) do not over-count.
+    * in edge-index order. A child is linked by the packed `fac(e, g)`, the
+    * delta the stream matcher (Alg. 2) follows, so trie and stream agree by
+    * construction, and its signature is its parent's plus that delta's
+    * factors. Nodes merge across queries by signature; support is credited
+    * once per query per distinct signature, so re-derivable sub-graphs (the
+    * DAG case, e.g. a-b-a-b from both b-a-b and a-b-a) do not over-count.
     */
   def add(q: QueryGraph, frequency: Double = 1.0): Unit = {
     require(frequency > 0, "frequency must be positive")
@@ -80,7 +80,7 @@ final class TPSTry(implicit val coder: LabelCoder) {
       for (e <- edges if !g.contains(e) && g.incident(e)) {
         val delta   = fac(e, g)
         val next    = g + e
-        val nextSig = sigG ++ delta
+        val nextSig = sigG ++ Sig.ofPacked(delta)
         val child = nodesBySig.getOrElseUpdate(nextSig, {
           new Node(nextSig, next.toQueryGraph, next.size)
         })
@@ -112,22 +112,19 @@ object TPSTry {
   *
   * The matcher reads this index through primitive tables only:
   *   - motif nodes are numbered 0 until `motifs.size`, in trie order;
-  *   - each motif node's links to motif children are keyed by the
-  *     [[Signature.packed]] delta (an `Int`), and so are the root's links to
-  *     the single-edge motifs, in one more row: a single-edge node's
-  *     signature is its root delta, so [[singleEdge]] is one [[fac]] and one
-  *     lookup, and a stream edge whose delta collides with a motif's
-  *     resolves to that motif;
-  *   - labels are the ids of the trie's [[Signature.LabelCoder]], and `fac`
-  *     takes its edge and degree factors from the coder, the functions
-  *     [[Signature.fac]] calls for the trie, so trie and stream share one
-  *     definition of a factor.
+  *   - each motif node's links to motif children are the trie's links, keyed
+  *     by packed delta, and so are the root's links to the single-edge
+  *     motifs, in one more row: a single-edge node's signature is its root
+  *     delta, so [[singleEdge]] is one `fac` and one lookup, and a stream
+  *     edge whose delta collides with a motif's resolves to that motif;
+  *   - labels are the ids of the trie's [[coder]], and the matcher computes
+  *     deltas with its `fac`, the one [[Signature.fac]] uses for the trie.
+  *     Stream labels are looked up, never registered: a label the trie never
+  *     registered is -1, and an edge with such a label is no motif edge.
   */
 final class MotifIndex(val trie: TPSTry, val threshold: Double) {
   require(threshold > 0 && threshold <= 1, "threshold must be in (0, 1]")
-  private val coder = trie.coder
-  require(coder.p <= Signature.MaxPackedFactor + 1,
-          s"packed factor deltas need p < 256, got p = ${coder.p}")
+  val coder: Signature.LabelCoder = trie.coder
 
   /** All motif nodes; a node's position is its id. */
   val motifs: Vector[TPSTry#Node] = trie.nodes.filter(_.support >= threshold)
@@ -143,7 +140,7 @@ final class MotifIndex(val trie: TPSTry, val threshold: Double) {
   private val (childDeltas, childIds) = {
     val ids   = motifs.zipWithIndex.toMap
     val links = (motifs :+ trie.root).map(_.children.filter(l => ids.contains(l._2)).toArray)
-    (links.map(_.map(l => Signature.packed(l._1))).toArray, links.map(_.map(l => ids(l._2))).toArray)
+    (links.map(_.map(_._1)).toArray, links.map(_.map(l => ids(l._2))).toArray)
   }
 
   /** Support of motif node `n`. */
@@ -158,31 +155,23 @@ final class MotifIndex(val trie: TPSTry, val threshold: Double) {
   }
 
   /** Single-edge motif matched by an edge with endpoint label ids `lu`,
-    * `lv`, or -1 if its label pair is not a motif.
+    * `lv`, or -1 if its label pair is not a motif or either label is -1.
     */
-  def singleEdge(lu: Int, lv: Int): Int = child(Root, fac(lu, 0, lv, 0))
-
-  // ---- labels and factors ----
+  def singleEdge(lu: Int, lv: Int): Int =
+    if (lu < 0 || lv < 0) -1 else child(Root, coder.fac(lu, 0, lv, 0))
 
   // Labels of the single-edge motifs, by id: vertices with these labels can
   // still become part of a motif match later in the stream. Every one was
   // registered while the trie was built.
   private val motifLabels: Array[Boolean] = {
     val a = new Array[Boolean](coder.size)
-    for (n <- childIds(Root); l <- motifs(n).representative.labels) a(coder.id(l)) = true
+    for (n <- childIds(Root); l <- motifs(n).representative.labels) a(coder.find(l)) = true
     a
   }
 
-  /** The coder's id of label `l`, registering it on first use. */
-  def label(l: String): Int = coder.id(l)
+  /** The coder's id of label `l`, or -1 if the trie never registered it. */
+  def label(l: String): Int = coder.find(l)
 
-  /** True if label `l` occurs in a single-edge motif. */
-  def isMotifLabel(l: Int): Boolean = l < motifLabels.length && motifLabels(l)
-
-  /** Packed fac(e, g) for an edge e with endpoint label ids `lu`, `lv` whose
-    * endpoints have degrees `du`, `dv` in g.
-    */
-  def fac(lu: Int, du: Int, lv: Int, dv: Int): Int =
-    Signature.packed(coder.edgeFactor(lu, lv),
-                     coder.degreeFactor(lu, du + 1), coder.degreeFactor(lv, dv + 1))
+  /** True if label `l` occurs in a single-edge motif (never for -1). */
+  def isMotifLabel(l: Int): Boolean = l >= 0 && l < motifLabels.length && motifLabels(l)
 }

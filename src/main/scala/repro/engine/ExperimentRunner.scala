@@ -37,8 +37,8 @@ object ExperimentRunner {
   def makePartitioner(system: String, k: Int, n: Long, m: Long,
                       workload: Workload, windowSize: Int): StreamingPartitioner = system match {
     case "Hash"   => new HashPartitioner(k, n)
-    case "LDG"    => new LdgPartitioner(k, n)
-    case "Fennel" => new FennelPartitioner(k, n, m)
+    case "LDG"    => GreedyPartitioner.ldg(k, n)
+    case "Fennel" => GreedyPartitioner.fennel(k, n, m)
     case "Loom" =>
       implicit val coder: Signature.LabelCoder = new Signature.LabelCoder()
       val trie = TPSTry.ofWorkload(workload)

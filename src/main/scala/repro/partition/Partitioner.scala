@@ -116,6 +116,18 @@ final class PartitionState(val k: Int, val capacity: Double) {
   }
 }
 
+object PartitionState {
+
+  /** Capacity slack b: LDG, Fennel and Loom cap each partition at b·n/k
+    * (Stanton & Kliot's 1.1, Fennel's ν; Loom emulates Fennel).
+    */
+  val Slack: Double = 1.1
+
+  /** A state for n expected vertices over k partitions, capacity b·n/k. */
+  def withSlack(k: Int, n: Long): PartitionState =
+    new PartitionState(k, capacity = math.max(1.0, Slack * n.toDouble / k))
+}
+
 /** A one-pass streaming partitioner over a labelled edge stream. */
 trait StreamingPartitioner {
   def name: String

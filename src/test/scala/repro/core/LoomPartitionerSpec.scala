@@ -70,6 +70,25 @@ class LoomPartitionerSpec extends SparkSpec {
     assert(loom.state.isAssigned(1) && loom.state.isAssigned(2))
   }
 
+  test("an edge with an outside label is no motif edge, even where its factors collide (p = 11)") {
+    // Find a seed at which registering the stream label x after the trie's
+    // a and b would give an a-x edge the delta of the single-edge motif a-b.
+    val w = Workload(Vector(singleEdge("a", "b") -> 1.0))
+    def index(seed: Long): MotifIndex = TPSTry.ofWorkload(w)(new LabelCoder(11, seed)).motifIndex(0.4)
+    val seed = Iterator.from(0).map(_.toLong).find { s =>
+      val c = index(s).coder
+      val (a, b, x) = (c.id("a"), c.id("b"), c.id("x"))
+      c.fac(a, 0, x, 0) == c.fac(a, 0, b, 0)
+    }.get
+    val motifs = index(seed)
+    val loom   = new LoomPartitioner(2, 10, motifs, 10)
+    loom.add(LEdge(1, "a", 2, "x"))
+    assert(loom.matcher.windowSize == 0 && loom.ldgEdges == 1, s"seed $seed")
+    // x is placed at once; a is a motif label, so its vertex waits.
+    assert(loom.state.isAssigned(2) && !loom.state.isAssigned(1))
+    assert(motifs.label("x") == -1 && motifs.coder.size == 2, "stream labels are never registered")
+  }
+
   test("finish() places leftover motif-label vertices in first-seen order") {
     // k = 2, capacity 55. c is outside every motif, so c vertices are placed
     // on arrival; a and b are motif labels, so their vertices on non-motif

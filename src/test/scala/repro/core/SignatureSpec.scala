@@ -27,6 +27,12 @@ class SignatureSpec extends SparkSpec with GenDriven {
     */
   private def product(s: Sig): BigInt = s.factors.foldLeft(BigInt(1))(_ * _)
 
+  /** The coder's edge and degree factors by label, registering the labels. */
+  private def edgeFactor(la: String, lb: String)(implicit c: LabelCoder): Int =
+    c.edgeFactor(c.id(la), c.id(lb))
+  private def degreeFactor(l: String, k: Int)(implicit c: LabelCoder): Int =
+    c.degreeFactor(c.id(l), k)
+
   // ---------- paper §2.1 worked example (p = 11, r(a)=3, r(b)=10) ----------
 
   test("paper example: edge factor of an a-b edge is 7") {
@@ -50,7 +56,7 @@ class SignatureSpec extends SparkSpec with GenDriven {
   test("paper example: signature of a single a-b edge has product 308") {
     implicit val c: LabelCoder = PaperCoder.make()
     val e = LEdge(1, "a", 2, "b")
-    assert(product(fac(e, SubGraph.empty)) == BigInt(308)) // 7 * 4 * 11
+    assert(product(Sig.ofPacked(fac(e, SubGraph.empty))) == BigInt(308)) // 7 * 4 * 11
   }
 
   test("paper example: signature of q1 (a-b-a-b 4-cycle) has product 116208400") {
@@ -64,7 +70,7 @@ class SignatureSpec extends SparkSpec with GenDriven {
     val e1 = LEdge(1, "a", 2, "b")
     val e2 = LEdge(3, "a", 2, "b")
     val g  = SubGraph.of(e1)
-    val d  = fac(e2, g)
+    val d  = Sig.ofPacked(fac(e2, g))
     assert(d == Sig.of(7, 4, 1), s"delta factors should be {7,4,1}, got $d")
     assert(product(ofSubGraph(g) ++ d) == BigInt(8624)) // 308 * 7 * 4 * 1
   }
@@ -115,6 +121,13 @@ class SignatureSpec extends SparkSpec with GenDriven {
     intercept[IllegalArgumentException] { c.r("c") }
   }
 
+  test("LabelCoder.find looks a label up without registering it") {
+    val c = freshCoder()
+    assert(c.find("a") == -1 && c.size == 0)
+    val a = c.id("a")
+    assert(c.find("a") == a && c.find("b") == -1 && c.size == 1)
+  }
+
   // ---------- factor ranges ----------
 
   test("edge and degree factors always land in [1, p]") {
@@ -151,7 +164,7 @@ class SignatureSpec extends SparkSpec with GenDriven {
     implicit val c: LabelCoder = freshCoder()
     forAllG(connectedSubGraphGen) { es =>
       val incremental = es.foldLeft((SubGraph.empty, Sig.empty)) {
-        case ((g, sig), e) => (g + e, sig ++ fac(e, g))
+        case ((g, sig), e) => (g + e, sig ++ Sig.ofPacked(fac(e, g)))
       }._2
       assert(incremental == ofSubGraph(SubGraph(es.toSet)))
     }

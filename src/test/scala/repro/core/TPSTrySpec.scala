@@ -22,9 +22,9 @@ class TPSTrySpec extends SparkSpec {
   /** The motif child of trie node `n` along `delta` through the index's
     * packed links, if `n` is a motif and the child is one.
     */
-  private def motifChild(index: MotifIndex, n: TPSTry#Node, delta: Sig): Option[TPSTry#Node] =
+  private def motifChild(index: MotifIndex, n: TPSTry#Node, delta: Int): Option[TPSTry#Node] =
     Some(index.motifs.indexOf(n)).filter(_ >= 0)
-      .map(index.child(_, Signature.packed(delta))).filter(_ >= 0).map(index.motifs)
+      .map(index.child(_, delta)).filter(_ >= 0).map(index.motifs)
 
   /** The single-edge motif of an edge with labels `la`, `lb`, if any. */
   private def singleEdgeMotif(index: MotifIndex, la: String, lb: String): Option[TPSTry#Node] =
@@ -166,8 +166,8 @@ class TPSTrySpec extends SparkSpec {
     val child = motifChild(index, abNode, delta)
     assert(child.isDefined)
     assert(child.get.sizeEdges == 2)
-    // The index's own fac gives the same packed delta from label ids.
-    assert(index.fac(index.label("a"), 0, index.label("b"), 1) == Signature.packed(delta))
+    // The coder's fac gives the same packed delta from the index's label ids.
+    assert(index.coder.fac(index.label("a"), 0, index.label("b"), 1) == delta)
     // a-b-a has support 0.5 >= 0.4; at threshold 0.6 it must disappear.
     assert(motifChild(trie.motifIndex(0.6), abNode, delta).isEmpty)
   }
@@ -233,7 +233,8 @@ class TPSTrySpec extends SparkSpec {
       val links = trie.nodes.flatMap(n => n.children.map { case (delta, ch) => (n, delta, ch) })
       assert(links.nonEmpty)
       links.foreach { case (n, delta, ch) =>
-        assert(delta.size == 3, s"${d.name}: a trie delta has 3 factors: $delta")
+        assert(Sig.ofPacked(delta).factors.forall(f => f >= 1 && f <= c.p),
+               s"${d.name}: a trie delta packs 3 factors in [1, p]: $delta")
         assert(motifChild(index, n, delta) == Some(ch).filter(_.support >= 0.4),
                s"${d.name}: link $delta from $n")
         assert(n.child(delta).contains(ch))
@@ -245,21 +246,24 @@ class TPSTrySpec extends SparkSpec {
         assert(singleEdgeMotif(index, a, b) == Some(ch).filter(_.support >= 0.4), s"${d.name}: $ch")
         assert(singleEdgeMotif(index, b, a) == Some(ch).filter(_.support >= 0.4), s"${d.name}: $ch")
       }
-      // Packing is injective on each node's links.
-      trie.nodes.foreach { n =>
-        val packed = n.children.map(l => Signature.packed(l._1))
-        assert(packed.distinct.size == packed.size)
-      }
     }
   }
 
-  test("packing rejects p >= 256 and deltas without exactly 3 factors") {
-    implicit val c: LabelCoder = new LabelCoder(257, 42L)
-    val trie = TPSTry.ofWorkload(Workloads.dblp)
-    val err  = intercept[IllegalArgumentException](trie.motifIndex(0.4))
-    assert(err.getMessage.contains("p < 256"), err.getMessage)
-    intercept[IllegalArgumentException](Signature.packed(Sig.of(1, 2)))
-    intercept[IllegalArgumentException](Signature.packed(Sig.of(1, 2, 256)))
-    assert(Signature.packed(Sig.of(3, 1, 2)) == Signature.packed(2, 3, 1))
+  test("packing rejects p >= 256 and round-trips three factors in [1, 255]") {
+    // At p = 256 a factor can be 256, which does not fit its byte.
+    Seq(256, 257).foreach { p =>
+      val err = intercept[IllegalArgumentException](new LabelCoder(p, 42L))
+      assert(err.getMessage.contains("p < 256"), err.getMessage)
+    }
+    assert(new LabelCoder(255, 42L).p == 255)
+    // Sig.ofPacked inverts packing, so packing is injective on factor
+    // multisets: the trie's Int-keyed links rely on that.
+    val rnd = new scala.util.Random(3)
+    val samples = Vector((1, 1, 1), (255, 255, 255), (1, 255, 128)) ++
+      Vector.fill(20000)((1 + rnd.nextInt(255), 1 + rnd.nextInt(255), 1 + rnd.nextInt(255)))
+    samples.foreach { case (a, b, c) =>
+      assert(Sig.ofPacked(packed(a, b, c)) == Sig.of(a, b, c), s"($a, $b, $c)")
+    }
+    assert(packed(3, 1, 2) == packed(2, 3, 1))
   }
 }

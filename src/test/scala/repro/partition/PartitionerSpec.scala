@@ -102,7 +102,7 @@ class PartitionerSpec extends SparkSpec {
   // ---------- LDG ----------
 
   test("LDG prefers the partition with more neighbours") {
-    val p = new LdgPartitioner(2, 100)
+    val p = GreedyPartitioner.ldg(2, 100)
     // Build a hub at vertex 1 on some partition, then check a new vertex
     // with two neighbours there follows them.
     p.add(LEdge(1, "a", 2, "b"))       // 1, 2 get placed
@@ -116,14 +116,14 @@ class PartitionerSpec extends SparkSpec {
   test("LDG respects the capacity bound") {
     val n = 100
     val k = 4
-    val p = new LdgPartitioner(k, n)
+    val p = GreedyPartitioner.ldg(k, n)
     randomStream(400, n, 2).foreach(p.add)
     val cap = 1.1 * n / k
     p.state.sizes.foreach(s => assert(s <= cap + 1, s"size $s exceeds cap $cap"))
   }
 
   test("LDG ties break to the least-loaded partition") {
-    val p = new LdgPartitioner(3, 90)
+    val p = GreedyPartitioner.ldg(3, 90)
     // Fresh vertices (no neighbours anywhere): scores all zero.
     p.add(LEdge(1, "a", 2, "b"))
     p.add(LEdge(3, "a", 4, "b"))
@@ -136,7 +136,7 @@ class PartitionerSpec extends SparkSpec {
   test("Fennel keeps hard balance under nu = 1.1") {
     val n = 200
     val k = 8
-    val p = new FennelPartitioner(k, n, 800)
+    val p = GreedyPartitioner.fennel(k, n, 800)
     randomStream(800, n, 3).foreach(p.add)
     val cap = 1.1 * n / k
     p.state.sizes.foreach(s => assert(s <= cap + 1, s"size $s exceeds $cap"))
@@ -153,7 +153,7 @@ class PartitionerSpec extends SparkSpec {
     }.toVector
     def cutEdges(pmap: Map[VId, Int]): Int =
       stream.count(e => pmap(e.u) != pmap(e.v))
-    val fMap = StreamingPartitioner.run(new FennelPartitioner(2, 30, stream.size), stream.iterator)
+    val fMap = StreamingPartitioner.run(GreedyPartitioner.fennel(2, 30, stream.size), stream.iterator)
     val hMap = StreamingPartitioner.run(new HashPartitioner(2, 30), stream.iterator)
     assert(cutEdges(fMap) == 0, s"Fennel should never cut a triangle: ${cutEdges(fMap)}")
     assert(cutEdges(hMap) > 0, "Hash almost surely cuts some triangle")
@@ -168,13 +168,13 @@ class PartitionerSpec extends SparkSpec {
     // it follows the hub only while the gap αγ(√|S_0| − √|S_1|) is below 1.
     val (k, n, m) = (2, 100L, 200L)
     val alpha  = m * math.sqrt(k.toDouble) / math.pow(n.toDouble, 1.5)
-    val ldg    = new LdgPartitioner(k, n)
-    val fennel = new FennelPartitioner(k, n, m)
+    val ldg    = GreedyPartitioner.ldg(k, n)
+    val fennel = GreedyPartitioner.fennel(k, n, m)
     Seq(ldg, fennel).foreach(_.add(LEdge(1, "a", 2, "b")))
     assert(ldg.state.toMap == Map(1L -> 0, 2L -> 0) && fennel.state.toMap == ldg.state.toMap)
     val gaps = Iterator.from(3).map { leaf =>
       val Vector(s0, s1) = fennel.state.sizes
-      val gap = alpha * FennelPartitioner.Gamma * (math.sqrt(s0.toDouble) - math.sqrt(s1.toDouble))
+      val gap = alpha * 1.5 * (math.sqrt(s0.toDouble) - math.sqrt(s1.toDouble))
       Seq(ldg, fennel).foreach(_.add(LEdge(1, "a", leaf.toLong, "b")))
       assert(ldg.state.partitionOf(leaf.toLong).contains(0), s"LDG follows the hub: leaf $leaf")
       if (gap < 1) assert(fennel.state.partitionOf(leaf.toLong).contains(0), s"gap $gap at leaf $leaf")
@@ -188,7 +188,7 @@ class PartitionerSpec extends SparkSpec {
   test("LDG and Fennel assign all stream vertices") {
     val stream = randomStream(300, 120, 4)
     val verts  = stream.flatMap(e => Seq(e.u, e.v)).toSet
-    Seq(new LdgPartitioner(4, 120), new FennelPartitioner(4, 120, 300)).foreach { p =>
+    Seq(GreedyPartitioner.ldg(4, 120), GreedyPartitioner.fennel(4, 120, 300)).foreach { p =>
       val pmap = StreamingPartitioner.run(p, stream.iterator)
       assert(verts.forall(pmap.contains), s"${p.name} left vertices unassigned")
     }
@@ -198,10 +198,10 @@ class PartitionerSpec extends SparkSpec {
     val stream = randomStream(200, 80, 5)
     def runOnce(mk: () => StreamingPartitioner): Map[VId, Int] =
       StreamingPartitioner.run(mk(), stream.iterator)
-    assert(runOnce(() => new LdgPartitioner(4, 80)) ==
-           runOnce(() => new LdgPartitioner(4, 80)))
-    assert(runOnce(() => new FennelPartitioner(4, 80, 200)) ==
-           runOnce(() => new FennelPartitioner(4, 80, 200)))
+    assert(runOnce(() => GreedyPartitioner.ldg(4, 80)) ==
+           runOnce(() => GreedyPartitioner.ldg(4, 80)))
+    assert(runOnce(() => GreedyPartitioner.fennel(4, 80, 200)) ==
+           runOnce(() => GreedyPartitioner.fennel(4, 80, 200)))
     assert(runOnce(() => new HashPartitioner(4, 80)) ==
            runOnce(() => new HashPartitioner(4, 80)))
   }
